@@ -1,14 +1,15 @@
 """Reverse-mode automatic differentiation on a per-evaluation tape.
 
 The tape records one entry per scalar or array operation; elementwise entries
-store their local partials at forward time, structural entries (sum, gather,
-put, where, index) store just enough layout to route adjoints. A fresh tape is
-built for every evaluation; nothing persists between calls.
+store their local partials at forward time, structural entries (sum, where,
+index) store just enough layout to route adjoints. A fresh tape is built for
+every evaluation; nothing persists between calls. UNROLLED plans, the
+reference semantics, differentiate through it; FUSED plans generate their
+own gradient code (see codegen) and enter a tape as one entry.
 
-The helper functions (exp, log, gather, ...) accept either a Node or a plain
+The helper functions (exp, log, where, ...) accept either a Node or a plain
 float/ndarray. With no Node among the arguments they fall through to numpy,
-so the same compiled model closures serve both the gradient path and the
-plain value path.
+so the same closures serve both the gradient path and the plain value path.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import NonFiniteDensityError
 __all__ = [
     "Tape", "Node", "grad_logdensity",
     "exp", "log", "log1p", "sqrt", "absolute", "square", "expit", "logit",
-    "softplus", "lgamma", "where", "gather", "put", "tsum", "index",
+    "softplus", "lgamma", "where", "tsum", "index",
 ]
 
 
@@ -112,8 +113,6 @@ class Tape:
       ("input",)
       ("ew", parent_ids, partials, parent_shapes)
       ("sum", pid, pshape)
-      ("gather", pid, idx, pshape)
-      ("put", base_id, vals_id, positions, vshape)
       ("where", cond, a_id, b_id, ashape, bshape)
       ("index", pid, i, pshape)
     """
@@ -170,20 +169,6 @@ class Tape:
             elif kind == "sum":
                 _, pid, pshape = ent
                 acc(pid, np.broadcast_to(g, pshape).copy() if pshape else float(g))
-            elif kind == "gather":
-                _, pid, idx, pshape = ent
-                buf = np.zeros(pshape)
-                np.add.at(buf, idx, g)
-                acc(pid, buf)
-            elif kind == "put":
-                _, base_id, vals_id, positions, vshape = ent
-                ga = np.asarray(g, dtype=float)
-                if vals_id >= 0:
-                    acc(vals_id, _unbroadcast(ga[positions], vshape))
-                if base_id >= 0:
-                    gb = ga.copy()
-                    gb[positions] = 0.0
-                    acc(base_id, gb)
             elif kind == "where":
                 _, cond, a_id, b_id, ashape, bshape = ent
                 if a_id >= 0:
@@ -263,28 +248,6 @@ def where(cond, a, b):
                           a.idx if isinstance(a, Node) else -1,
                           b.idx if isinstance(b, Node) else -1,
                           _shape(av), _shape(bv)), out)
-    return out
-
-
-def gather(x, idx):
-    """x[idx] for an integer index array; adjoint scatter-adds."""
-    if isinstance(x, Node):
-        return x.tape._new(("gather", x.idx, idx, _shape(x.value)), x.value[idx])
-    return x[idx]
-
-
-def put(base, positions, values):
-    """Copy of `base` with `values` written at integer `positions`."""
-    bv = base.value if isinstance(base, Node) else base
-    vv = values.value if isinstance(values, Node) else values
-    out = np.array(bv, dtype=float, copy=True)
-    out[positions] = vv
-    if isinstance(base, Node) or isinstance(values, Node):
-        tape = base.tape if isinstance(base, Node) else values.tape
-        return tape._new(("put",
-                          base.idx if isinstance(base, Node) else -1,
-                          values.idx if isinstance(values, Node) else -1,
-                          positions, _shape(vv)), out)
     return out
 
 

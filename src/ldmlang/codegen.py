@@ -1,0 +1,593 @@
+"""Source-to-source reverse mode for FUSED plans.
+
+FUSED lowering describes a plan's log density to a `Source`: the assembly of
+the model-variable arrays from the latent vector, then one log-density term
+per statement or scalar site. The `Source` writes straight-line NumPy
+statements for the forward pass and keeps, for every statement that depends
+on the latent vector, how to send its adjoint back to its operands. `build`
+emits three Python functions from that source, compiled once on first use:
+
+  * value(u)            log density;
+  * value_and_grad(u)   log density and gradient; a value that is NaN or
+                        +-inf returns early with a zero gradient (NaN as
+                        -inf), so invalid parameters need no masking where
+                        the closed form already yields NaN or -inf;
+  * observed(u)         the sum over OBSERVED cells only.
+
+Sub-expressions that do not depend on the latent vector are folded at
+compile time, by evaluating the same expression text with NumPy, so they
+cost nothing per call and round exactly as at run time. Every value is a
+scalar or a vector of one statement's domain length; positions, input
+values and observed data are constants in the functions' namespace. Names
+in the source are generated: model identifiers never appear in it, and
+data only as float literals.
+
+Derivatives come from closed-form rules: one per arithmetic operator and
+call, one per transform, and one per distribution in
+`distributions.TABLE`, giving the elementwise log density and its partial
+with respect to each argument.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy import special as _sp
+
+from . import distributions as dist
+
+_NAMESPACE = {
+    "np": np, "inf": math.inf, "nan": math.nan,
+    "expit": _sp.expit, "logit": _sp.logit,
+    "gammaln": _sp.gammaln, "digamma": _sp.digamma,
+    "PI": math.pi,
+    "HALF_LOG_2PI": 0.5 * math.log(2.0 * math.pi),
+    "HALF_LOG_2_OVER_PI": 0.5 * math.log(2.0 / math.pi),
+}
+
+_PLACEHOLDER = re.compile(r"\{(\d+)\}")
+
+
+@dataclass(frozen=True, slots=True)
+class Val:
+    """A value in the generated code: a name or a literal. `n` is the length
+    of a vector, None for a scalar; `active` is true when it depends on u.
+    `fixed` holds the compile-time values of an active read of a model
+    array, NaN where a cell is latent."""
+    code: str
+    n: int | None
+    active: bool
+    fixed: object = field(default=None, compare=False)
+
+
+class Lazy:
+    """A partial derivative, written into the reverse sweep the first time
+    an adjoint needs it. `fmt` refers to `deps` as {0}, {1}, ..."""
+    __slots__ = ("fmt", "deps", "val")
+
+    def __init__(self, fmt, *deps):
+        self.fmt = fmt
+        self.deps = deps
+        self.val = None
+
+
+def _shape(fmt, args):
+    """Length of a vector among the args `fmt` refers to, else None."""
+    for m in _PLACEHOLDER.finditer(fmt):
+        if args[int(m.group(1))].n is not None:
+            return args[int(m.group(1))].n
+    return None
+
+
+def _times(a: str, b: str) -> str:
+    if a == "1":
+        return b
+    if b == "1":
+        return a
+    if a == "-1":
+        return f"(-{b})"
+    if b == "-1":
+        return f"(-{a})"
+    return f"{a} * {b}"
+
+
+def _subscript(pos) -> tuple[str | None, object]:
+    """Literal subscript for an int or an arithmetic progression of
+    positions (a basic slice), else None and the position array."""
+    if isinstance(pos, (int, np.integer)):
+        return str(int(pos)), None
+    pos = np.asarray(pos, dtype=np.int64)
+    if pos.size == 1:
+        return f"{int(pos[0])}:{int(pos[0]) + 1}", None
+    step = int(pos[1] - pos[0])
+    if step > 0 and np.all(np.diff(pos) == step):
+        return f"{int(pos[0])}:{int(pos[-1]) + 1}:{step}" if step != 1 \
+            else f"{int(pos[0])}:{int(pos[-1]) + 1}", None
+    return None, pos
+
+
+class Source:
+    """Builder for one plan's generated value-and-gradient source."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.ns = dict(_NAMESPACE)
+        self.lines: list[str] = []        # forward statements
+        self.tape: list[tuple] = []       # reverse records, forward order
+        self.parts: list[str] = []        # summands of the log density
+        self.obs_parts: list[str] = []    # summands of the observed loglik
+        self._k = 0
+
+    # -- values -------------------------------------------------------------
+
+    def _name(self, hint: str) -> str:
+        self._k += 1
+        return f"{hint}_{self._k}"
+
+    def const(self, value) -> Val:
+        value = np.asarray(value)
+        if value.ndim == 0:
+            x = float(value)
+            code = "nan" if math.isnan(x) else \
+                ("inf" if x > 0 else "(-inf)") if math.isinf(x) else \
+                f"({x!r})" if math.copysign(1.0, x) < 0 else repr(x)
+            return Val(code, None, False)
+        return Val(self._array("c", value), len(value), False)
+
+    def _array(self, hint: str, value: np.ndarray) -> str:
+        name = self._name(hint)
+        self.ns[name] = value
+        return name
+
+    def mark(self) -> tuple:
+        return (len(self.lines), len(self.tape), len(self.parts),
+                len(self.obs_parts))
+
+    def rollback(self, mark: tuple) -> None:
+        """Drop what was emitted since `mark`."""
+        for seq, n in zip((self.lines, self.tape, self.parts, self.obs_parts),
+                          mark):
+            del seq[n:]
+
+    def value(self, v: Val):
+        """Compile-time value of a constant."""
+        return eval(v.code, self.ns)
+
+    def op(self, fmt: str, *args: Val, partials=None, hint="t") -> Val:
+        """`fmt` over `args` ({0}, {1}, ...). With `partials` (one per arg: a
+        format string that may also use {y}, the result, or "1"/"-1", or None
+        where the result does not depend on the arg) the reverse sweep
+        differentiates through it."""
+        codes = [a.code for a in args]
+        n = next((a.n for a in args if a.n is not None), None)
+        if not any(a.active for a in args):
+            env = {f"_{i}": np.float64(self.value(a)) if a.n is None
+                   else self.value(a) for i, a in enumerate(args)}
+            with np.errstate(all="ignore"):
+                out = eval(fmt.format(*env), self.ns, env)
+            return self.const(out)
+        out = Val(self._name(hint), n, True)
+        self.lines.append(f"{out.code} = {fmt.format(*codes)}")
+        if partials is not None:
+            y = f"{{{len(args)}}}"
+            pairs = [(a, p if p in ("1", "-1") else
+                      Lazy(p.replace("{y}", y), *args, out))
+                     for a, p in zip(args, partials) if a.active and p]
+            self.tape.append(("op", out, pairs))
+        return out
+
+    def guard(self, lp: Val, fmt: str, *args: Val) -> Val:
+        """lp where the condition `fmt` over `args` holds, -inf elsewhere."""
+        ok = self.op(fmt, *args)
+        if not ok.active and np.all(self.value(ok)):
+            return lp
+        return self.op("np.where({0}, {1}, -inf)", ok, lp, hint="lp")
+
+    def support(self, lp: Val, fmt: str, v: Val) -> Val:
+        """Like `guard` for a support condition on the site value, checked
+        at compile time: a latent cell lies in its support by construction
+        of its transform, the other cells are data."""
+        if not v.active:
+            return self.guard(lp, fmt, v)
+        if v.fixed is None:
+            return lp
+        with np.errstate(all="ignore"):
+            ok = eval(fmt.format("_0"), self.ns, {"_0": v.fixed}) \
+                | np.isnan(v.fixed)
+        if np.all(ok):
+            return lp
+        return self.op("np.where({0}, {1}, -inf)", self.const(ok), lp,
+                       hint="lp")
+
+    # -- model arrays ---------------------------------------------------------
+
+    def _key(self, pos) -> str:
+        key, posarr = _subscript(pos)
+        return key if key is not None else self._array("p", posarr)
+
+    def latent(self, offsets, kind: str) -> Val:
+        """Constrained values of the latent slots u[offsets] (an int or an
+        offsets array) under transform `kind`; their log-Jacobian joins the
+        log density."""
+        key = self._key(offsets)
+        n = None if isinstance(offsets, (int, np.integer)) else len(offsets)
+        useg = Val(self._name("u"), n, True)
+        self.lines.append(f"{useg.code} = u[{key}]")
+        value, jac, _, _ = TRANSFORMS[kind]
+        x = useg
+        if value != "{0}":
+            x = Val(self._name("x"), n, True)
+            self.lines.append(f"{x.code} = {value.format(useg.code)}")
+        if jac:
+            j = jac.format(useg.code)
+            self.parts.append(f"({j})" if n is None else f"({j}).sum()")
+        self.tape.append(("latent", x, useg, key, kind))
+        return x
+
+    def assemble(self, base: np.ndarray, puts) -> Val:
+        """A model variable's flat array: observed `base` with each latent
+        Val of `puts` [(positions, Val)] written at its positions."""
+        arr = Val(self._name("a"), len(base), True)
+        if len(puts) == 1 and np.array_equal(puts[0][0], np.arange(len(base))):
+            self.lines.append(f"{arr.code} = {puts[0][1].code}")
+            self.tape.append(("put", arr, None, puts[0][1]))
+            return arr
+        self.lines.append(f"{arr.code} = {self.const(base).code}.copy()")
+        for pos, x in puts:
+            key = self._key(pos)
+            self.lines.append(f"{arr.code}[{key}] = {x.code}")
+            self.tape.append(("put", arr, key, x))
+        return arr
+
+    def index(self, arr: Val, pos, fixed=None) -> Val:
+        """arr[pos] for an int or an array of compile-time positions;
+        `fixed` as for Val."""
+        key, posarr = _subscript(pos)
+        counts = None
+        if key is None:
+            key = self._array("p", posarr)
+            counts = np.bincount(posarr, minlength=arr.n).astype(float)
+            if counts.max() < 2:
+                counts = None
+        n = None if isinstance(pos, (int, np.integer)) else len(pos)
+        out = Val(self._name("g"), n, True, fixed)
+        self.lines.append(f"{out.code} = {arr.code}[{key}]")
+        self.tape.append(("index", out, arr, key, counts))
+        return out
+
+    # -- terms ---------------------------------------------------------------
+
+    def term(self, name: str, v: Val, params, observed) -> None:
+        """Log-density term of distribution `name` at site value(s) `v`.
+        `observed`: True/False for a scalar site; for a vector, the indices
+        of its observed cells (all of them as True, none as False)."""
+        lp, pairs = RULES[dist.lookup(name).name](self, v, *params)
+        if not lp.active:
+            with np.errstate(all="ignore"):
+                total = self.value(lp)
+                self.parts.append(self.const(np.sum(total)).code)
+                if observed is not False:
+                    sel = total if observed is True else total[observed]
+                    self.obs_parts.append(self.const(np.sum(sel)).code)
+            return
+        self.parts.append(lp.code if lp.n is None else f"{lp.code}.sum()")
+        if observed is True:
+            self.obs_parts.append(self.parts[-1])
+        elif observed is not False:
+            self.obs_parts.append(
+                f"{lp.code}[{self._array('p', observed)}].sum()")
+        self.tape.append(("term", lp, [(a, p) for a, p in pairs if a.active]))
+
+    # -- reverse sweep -------------------------------------------------------
+
+    def _partial(self, p, rev) -> Val:
+        """A partial as a Val, writing a Lazy into `rev` the first time."""
+        if isinstance(p, str):
+            return Val(p, None, False)
+        if isinstance(p, Val):
+            return p
+        if p.val is None:
+            deps = [self._partial(d, rev) for d in p.deps]
+            used = [deps[int(i)] for i in _PLACEHOLDER.findall(p.fmt)]
+            if _PLACEHOLDER.fullmatch(p.fmt):
+                p.val = used[0]
+            elif not any(d.active for d in used):
+                p.val = self.op(p.fmt, *deps)
+            else:
+                p.val = Val(self._name("r"), _shape(p.fmt, deps), True)
+                rev.append(f"{p.val.code} = "
+                           f"{p.fmt.format(*(d.code for d in deps))}")
+        return p.val
+
+    def _backward(self) -> list[str]:
+        rev: list[str] = []
+        adj: dict[str, tuple[str, int | None]] = {}   # code -> (adjoint, n)
+
+        def add(arg: Val, code: str, n):
+            if arg.code in adj:
+                name, m = adj[arg.code]
+                rev.append(f"{name} = {name} + {code}")
+                adj[arg.code] = (name, m if m is not None else n)
+            else:
+                adj[arg.code] = (f"d_{arg.code}", n)
+                rev.append(f"d_{arg.code} = {code}")
+
+        def send(out_n, g, gn, arg, p):
+            # an adjoint of shape None stands for the same value in each of
+            # the out_n cells of a vector
+            pv = self._partial(p, rev)
+            code, n = _times(g, pv.code), gn if gn is not None else pv.n
+            if arg.n is None and out_n is not None:
+                code = f"({code}).sum()" if n is not None \
+                    else f"{out_n} * ({code})"
+                n = None
+            add(arg, code, n)
+
+        for rec in reversed(self.tape):
+            kind, out = rec[0], rec[1]
+            if kind == "term":
+                for arg, p in rec[2]:
+                    send(out.n, "1", None, arg, p)
+                continue
+            if kind == "latent":
+                _, x, useg, key, tkind = rec
+                _, _, dvalue, djac = TRANSFORMS[tkind]
+                terms = []
+                if x.code in adj:
+                    terms.append(_times(adj[x.code][0],
+                                        dvalue.format(useg.code, y=x.code)))
+                if djac:
+                    terms.append(djac.format(useg.code, y=x.code))
+                if terms:
+                    rev.append(f"g[{key}] = {' + '.join(terms)}")
+                continue
+            if out.code not in adj:
+                continue
+            g, gn = adj[out.code]
+            if kind == "op":
+                for arg, p in rec[2]:
+                    send(out.n, g, gn, arg, p)
+            elif kind == "index":
+                _, _, arr, key, counts = rec
+                if arr.code not in adj:
+                    adj[arr.code] = (f"d_{arr.code}", arr.n)
+                    rev.append(f"d_{arr.code} = np.zeros({arr.n})")
+                d = adj[arr.code][0]
+                if counts is None:
+                    rev.append(f"{d}[{key}] += {g}")
+                elif gn is None:
+                    rev.append(f"{d} += {self.const(counts).code} * {g}")
+                else:
+                    rev.append(f"{d} += np.bincount({key}, {g}, {arr.n})")
+            elif kind == "put":
+                _, _, key, x = rec
+                add(x, g if key is None else f"{g}[{key}]", x.n)
+        return rev
+
+    def build(self) -> "Program":
+        rev = self._backward()
+        fwd = "".join(f"    {line}\n" for line in self.lines)
+        total = " + ".join(self.parts) or "0.0"
+        observed = " + ".join(self.obs_parts) or "0.0"
+        back = "".join(f"    {line}\n" for line in rev)
+        zeros = f"np.zeros({self.dim})"
+        text = (
+            f"def value(u):\n{fwd}"
+            f"    lp = {total}\n"
+            "    return float(lp) if lp == lp else -inf\n\n"
+            f"def value_and_grad(u):\n{fwd}"
+            f"    lp = {total}\n"
+            "    if not -inf < lp < inf:\n"
+            f"        return (float(lp) if lp == lp else -inf), {zeros}\n"
+            f"    g = {zeros}\n{back}"
+            "    return float(lp), g\n\n"
+            f"def observed(u):\n{fwd}"
+            f"    lp = {observed}\n"
+            "    return float(lp) if lp == lp else -inf\n")
+        return Program(text, self.ns)
+
+
+class Program:
+    """The generated functions `value`, `value_and_grad` and `observed` of
+    one FUSED plan. The source is compiled on first use, so a plan that
+    only simulates never pays for it."""
+
+    _FUNCTIONS = ("value", "value_and_grad", "observed")
+
+    def __init__(self, source: str, namespace: dict):
+        self.source = source
+        self._ns = namespace
+
+    def __getattr__(self, name):
+        if name not in self._FUNCTIONS:
+            raise AttributeError(name)
+        exec(compile(self.source, "<ldmlang FUSED plan>", "exec"), self._ns)
+        for f in self._FUNCTIONS:
+            setattr(self, f, self._ns[f])
+        return getattr(self, name)
+
+
+# --- rules -------------------------------------------------------------------
+
+# name -> (forward, partial); the partial may use {y}, the result
+CALLS = {
+    "exp": ("np.exp({0})", "{y}"),
+    "log": ("np.log({0})", "1.0 / {0}"),
+    "expit": ("expit({0})", "{y} * (1.0 - {y})"),
+    "logit": ("logit({0})", "1.0 / ({0} * (1.0 - {0}))"),
+    "sqrt": ("np.sqrt({0})", "0.5 / {y}"),
+    "abs": ("np.abs({0})", "np.sign({0})"),
+    "pow": ("{0} ** {1}", "{1} * {0} ** ({1} - 1.0)", "{y} * np.log({0})"),
+}
+
+BINOPS = {
+    "+": ("{0} + {1}", "1", "1"),
+    "-": ("{0} - {1}", "1", "-1"),
+    "*": ("{0} * {1}", "{1}", "{0}"),
+    "/": ("{0} / {1}", "1.0 / {1}", "-{y} / {1}"),
+}
+
+# transform name -> (constrain, log-Jacobian, d constrain / du, d log-Jacobian
+# / du), over u as {0} and the constrained value as {y}
+TRANSFORMS = {
+    "identity": ("{0}", None, "1", None),
+    "exp": ("np.exp({0})", "{0}", "{y}", "1.0"),
+    "logistic": ("expit({0})",
+                 "-np.logaddexp(0.0, {0}) - np.logaddexp(0.0, -{0})",
+                 "({y} * (1.0 - {y}))", "(1.0 - 2.0 * {y})"),
+}
+
+_INTEGRAL = "(np.floor({0}) == {0}) & np.isfinite({0})"
+_BINARY = f"{_INTEGRAL} & (({{0}} == 0.0) | ({{0}} == 1.0))"
+_COUNT = f"{_INTEGRAL} & ({{0}} >= 0.0)"
+_UNIT = "({0} >= 0.0) & ({0} <= 1.0)"
+
+
+def _normal(s: Source, v, mu, sd):
+    z = s.op("({0} - {1}) / {2}", v, mu, sd)
+    zz = s.op("{0} * {0}", z)
+    lp = s.op("-0.5 * {0} - {1}", zz, s.op("np.log({0}) + HALF_LOG_2PI", sd),
+              hint="lp")
+    w = Lazy("{0} / {1}", z, sd)
+    return lp, [(v, Lazy("-{0}", w)), (mu, w),
+                (sd, Lazy("({0} - 1.0) / {1}", zz, sd))]
+
+
+def _exponential(s: Source, v, rate):
+    lp = s.op("{0} - {1} * {2}", s.op("np.log({0})", rate), rate, v, hint="lp")
+    lp = s.support(lp, "{0} >= 0.0", v)
+    return lp, [(v, Lazy("-{0}", rate)),
+                (rate, Lazy("1.0 / {0} - {1}", rate, v))]
+
+
+def _halfnormal(s: Source, v, scale):
+    r = s.op("{0} / {1}", v, scale)
+    rr = s.op("{0} * {0}", r)
+    lp = s.op("{1} - 0.5 * {0}", rr,
+              s.op("HALF_LOG_2_OVER_PI - np.log({0})", scale), hint="lp")
+    lp = s.support(lp, "{0} >= 0.0", v)
+    return lp, [(v, Lazy("-{0} / {1}", r, scale)),
+                (scale, Lazy("({0} - 1.0) / {1}", rr, scale))]
+
+
+def _gamma(s: Source, v, shape, rate):
+    logv, logr = s.op("np.log({0})", v), s.op("np.log({0})", rate)
+    lp = s.op("{0} * {1} + ({0} - 1.0) * {2} - {3} * {4} - {5}",
+              shape, logr, logv, rate, v, s.op("gammaln({0})", shape),
+              hint="lp")
+    lp = s.guard(s.guard(lp, "{0} > 0.0", v), "{0} > 0.0", shape)
+    return lp, [(v, Lazy("({0} - 1.0) / {1} - {2}", shape, v, rate)),
+                (shape, Lazy("{0} + {1} - digamma({2})", logr, logv, shape)),
+                (rate, Lazy("{0} / {1} - {2}", shape, rate, v))]
+
+
+def _beta(s: Source, v, a, b):
+    lv, l1v = s.op("np.log({0})", v), s.op("np.log1p(-{0})", v)
+    norm = s.op("gammaln({0}) + gammaln({1}) - gammaln({0} + {1})", a, b)
+    lp = s.op("({0} - 1.0) * {2} + ({1} - 1.0) * {3} - {4}",
+              a, b, lv, l1v, norm, hint="lp")
+    lp = s.guard(lp, "({0} > 0.0) & ({0} < 1.0)", v)
+    lp = s.guard(s.guard(lp, "{0} > 0.0", a), "{0} > 0.0", b)
+    return lp, [
+        (v, Lazy("({0} - 1.0) / {2} - ({1} - 1.0) / (1.0 - {2})", a, b, v)),
+        (a, Lazy("{0} - digamma({1}) + digamma({1} + {2})", lv, a, b)),
+        (b, Lazy("{0} - digamma({2}) + digamma({1} + {2})", l1v, a, b))]
+
+
+def _studentt(s: Source, v, df, loc, scale):
+    z = s.op("({0} - {1}) / {2}", v, loc, scale)
+    q = s.op("np.log1p({0} * {0} / {1})", z, df)
+    c = s.op("gammaln(({0} + 1.0) / 2.0) - gammaln({0} / 2.0)"
+             " - 0.5 * np.log({0} * PI) - np.log({1})", df, scale)
+    lp = s.op("{0} - ({1} + 1.0) / 2.0 * {2}", c, df, q, hint="lp")
+    t = Lazy("({0} + 1.0) * {1} / ({0} + {1} * {1})", df, z)  # -dlp/dz
+    return lp, [
+        (v, Lazy("-{0} / {1}", t, scale)),
+        (df, Lazy("0.5 * (digamma(({0} + 1.0) / 2.0) - digamma({0} / 2.0)"
+                  " - 1.0 / {0} - {1}) + ({0} + 1.0) * {2} * {2}"
+                  " / (2.0 * {0} * ({0} + {2} * {2}))", df, q, z)),
+        (loc, Lazy("{0} / {1}", t, scale)),
+        (scale, Lazy("({0} * {1} - 1.0) / {2}", t, z, scale))]
+
+
+def _bernoulli(s: Source, v, p):
+    lp = s.op("np.where({0} == 1.0, np.log({1}), np.log1p(-{1}))", v, p,
+              hint="lp")
+    lp = s.guard(s.support(lp, _BINARY, v), _UNIT, p)
+    return lp, [(p, Lazy(
+        "np.where({0} == 1.0, 1.0 / {1}, -1.0 / (1.0 - {1}))", v, p))]
+
+
+def _bernoulli_logits(s: Source, v, logits):
+    lp = s.op("{0} * {1} - np.logaddexp(0.0, {1})", v, logits, hint="lp")
+    lp = s.support(lp, _BINARY, v)
+    return lp, [(logits, Lazy("{0} - expit({1})", v, logits))]
+
+
+def _log_choose(s: Source, n, v):
+    return s.op("gammaln({0} + 1.0) - gammaln({1} + 1.0)"
+                " - gammaln({0} - {1} + 1.0)", n, v)
+
+
+def _count_guard(s: Source, lp, v, n):
+    lp = s.support(lp, _COUNT, v)
+    return s.guard(lp, f"{_INTEGRAL.format('{1}')} & ({{0}} <= {{1}})", v, n)
+
+
+def _binomial(s: Source, v, n, p):
+    t1 = s.op("np.where({0} == 0.0, 0.0, {0} * np.log({1}))", v, p)
+    t0 = s.op("np.where({0} == {1}, 0.0, ({1} - {0}) * np.log1p(-{2}))",
+              v, n, p)
+    lp = s.op("{0} + {1} + {2}", _log_choose(s, n, v), t1, t0, hint="lp")
+    lp = s.guard(_count_guard(s, lp, v, n), _UNIT, p)
+    return lp, [
+        (n, Lazy("digamma({0} + 1.0) - digamma({0} - {1} + 1.0)"
+                 " + np.where({1} == {0}, 0.0, np.log1p(-{2}))", n, v, p)),
+        (p, Lazy("np.where({0} == 0.0, 0.0, {0} / {2}) - np.where("
+                 "{0} == {1}, 0.0, ({1} - {0}) / (1.0 - {2}))", v, n, p))]
+
+
+def _binomial_logits(s: Source, v, n, logits):
+    lp = s.op("{0} + {1} * {2} - {3} * np.logaddexp(0.0, {2})",
+              _log_choose(s, n, v), v, logits, n, hint="lp")
+    lp = _count_guard(s, lp, v, n)
+    return lp, [
+        (n, Lazy("digamma({0} + 1.0) - digamma({0} - {1} + 1.0)"
+                 " - np.logaddexp(0.0, {2})", n, v, logits)),
+        (logits, Lazy("{0} - {1} * expit({2})", v, n, logits))]
+
+
+def _poisson(s: Source, v, rate):
+    lp = s.op("{0} * {1} - {2} - {3}", v, s.op("np.log({0})", rate), rate,
+              s.op("gammaln({0} + 1.0)", v), hint="lp")
+    lp = s.support(lp, _COUNT, v)
+    return lp, [(rate, Lazy("{0} / {1} - 1.0", v, rate))]
+
+
+def _zip(s: Source, v, gate, rate):
+    er = s.op("np.exp(-{0})", rate)
+    q = s.op("{0} + (1.0 - {0}) * {1}", gate, er)
+    pos = s.op("np.log1p(-{0}) + {1} * np.log({2}) - {2} - {3}",
+               gate, v, rate, s.op("gammaln({0} + 1.0)", v))
+    lp = s.op("np.where({0} == 0.0, np.log({1}), {2})", v, q, pos, hint="lp")
+    lp = s.guard(s.support(lp, _COUNT, v), _UNIT, gate)
+    lp = s.guard(lp, "{0} > 0.0", rate)
+    return lp, [
+        (gate, Lazy("np.where({0} == 0.0, (1.0 - {1}) / {2},"
+                    " -1.0 / (1.0 - {3}))", v, er, q, gate)),
+        (rate, Lazy("np.where({0} == 0.0, -(1.0 - {1}) * {2} / {3},"
+                    " {0} / {4} - 1.0)", v, gate, er, q, rate))]
+
+
+# distribution name -> rule(source, value, *params) -> (elementwise log
+# density, [(argument, partial of the log density)])
+RULES = {
+    "N": _normal, "Exp": _exponential, "HalfNormal": _halfnormal,
+    "Gamma": _gamma, "Beta": _beta, "StudentT": _studentt,
+    "Bernoulli": _bernoulli, "BernoulliLogits": _bernoulli_logits,
+    "Binomial": _binomial, "BinomialLogits": _binomial_logits,
+    "Poisson": _poisson, "ZeroInflatedPoisson": _zip,
+}

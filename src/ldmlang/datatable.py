@@ -49,18 +49,12 @@ class DataTable:
             return self.index_rows[:, self.index_names.index(name)]
         raise TableError(f"no column named {name!r}")
 
-    def has_column(self, name: str) -> bool:
-        return name in self.columns or name in self.index_names
-
     def get(self, name: str, key: tuple[int, ...]) -> float:
         """Value at one index tuple; a missing row reads as NaN."""
         row = self._row_of.get(key)
         if row is None:
             return math.nan
         return float(self.columns[name][row])
-
-    def row_for(self, key: tuple[int, ...]) -> int | None:
-        return self._row_of.get(key)
 
 
 def read_table(path: str, index_names) -> DataTable:

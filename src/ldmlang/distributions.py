@@ -6,11 +6,13 @@ Conventions that differ between common libraries and matter here:
   * HalfNormal(s): s is the scale of the underlying normal.
 
 Log-prob kernels accept autodiff Nodes or plain floats/arrays and return
-elementwise log densities. Inside a compiled plan, parameter values that leave
-their constraint region (for example a real-support sigma crossing zero) mask
-to -inf so the sampler rejects instead of crashing; the strict public
-entry points (`log_prob`, `draw`) raise InvalidParameterError up front.
-Log mass/density at the exact boundary of a continuous support is -inf.
+elementwise log densities; UNROLLED plans and the public API evaluate them,
+while FUSED plans use the closed-form rules of `codegen.RULES`. Inside a
+compiled plan, parameter values that leave their constraint region (for
+example a real-support sigma crossing zero) give -inf so the sampler rejects
+instead of crashing; the strict public entry points (`log_prob`, `draw`)
+raise InvalidParameterError up front. Log mass/density at the exact boundary
+of a continuous support is -inf.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ def _poisson_lp(v, rate):
     okr = np.greater(_v(rate), 0.0)
     r = rate if np.all(okr) else where(okr, rate, 1.0)
     vsafe = np.where(okv, vv, 0.0)
-    lp = v * log(r) - r - float_or_array(_lgamma_const(vsafe + 1.0))
+    lp = v * log(r) - r - _sp_gammaln(vsafe + 1.0)
     ok = okv & okr
     if np.all(ok):
         return lp
@@ -208,20 +210,12 @@ def _zip_lp(v, gate, rate):
     # mass at zero mixes the gate with the Poisson zero probability
     zero_mass = log(g + (1.0 - g) * ad.exp(-r))
     vsafe = np.where(okv, vv, 0.0)
-    pos_mass = log1p(-g) + v * log(r) - r - float_or_array(_lgamma_const(vsafe + 1.0))
+    pos_mass = log1p(-g) + v * log(r) - r - _sp_gammaln(vsafe + 1.0)
     lp = where(vv == 0, zero_mass, pos_mass)
     ok = okv & okp
     if np.all(ok):
         return lp
     return where(ok, lp, _NEG_INF)
-
-
-def _lgamma_const(x):
-    return _sp_gammaln(x)
-
-
-def float_or_array(x):
-    return float(x) if np.shape(x) == () else x
 
 
 # --- samplers -------------------------------------------------------------------

@@ -323,12 +323,8 @@ def assign_domains(graph: ModelGraph, ranges: dict[str, tuple[int, int]]) -> Non
                     f"{instance_name(var, key)} is governed by both {names}")
             claims[key] = winners[0]
         for node in nodes:
+            # a fully shadowed statement is left with an empty domain
             node.domain = [k for k in grid if claims[k] is node]
-        for node in nodes:
-            if not node.domain:
-                # fully shadowed statements are suspicious but harmless;
-                # leave them with an empty domain
-                pass
 
 
 def _matches(node: GraphNode, key: tuple[int, ...], ranges) -> bool:

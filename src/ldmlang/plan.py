@@ -8,9 +8,11 @@ latent vector:
                  DBN slices become gathers against shifted positions (all
                  values are known when conditioning, so the time loop
                  disappears from density evaluation); deterministic statements
-                 are inlined into their consumers.
+                 are inlined into their consumers. The whole plan becomes one
+                 generated value-and-gradient function (see codegen).
   * UNROLLED   - one scalar site per concrete instance, evaluated in ancestral
-                 order; deterministic instances stay as named intermediates.
+                 order on the autodiff tape; deterministic instances stay as
+                 named intermediates. It is the reference semantics.
 
 The latent vector layout is shared by both modes: transformed parameters in
 statement topological order, then one slot per missing (imputed) cell in
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import codegen
 from . import distributions as dist
 from .datatable import DataTable, make_table
 from .errors import (
@@ -439,15 +442,14 @@ _CALLS = {"exp": ad.exp, "log": ad.log, "expit": ad.expit, "logit": ad.logit,
 
 
 class _Ctx:
-    __slots__ = ("bound", "graph", "layouts", "inputs", "node_of", "mode")
+    __slots__ = ("bound", "graph", "layouts", "inputs", "node_of")
 
-    def __init__(self, bound: BoundModel, mode: str):
+    def __init__(self, bound: BoundModel):
         self.bound = bound
         self.graph = bound.graph
         self.layouts = bound.layouts
         self.inputs = bound.inputs
         self.node_of = bound.node_of
-        self.mode = mode
 
 
 def _term_value(ctx: _Ctx, term, km):
@@ -526,42 +528,43 @@ def _flat_positions(ctx: _Ctx, var: str, terms, km):
     return pos
 
 
-def _compile_expr(ctx: _Ctx, expr, km, fused: bool):
-    """Compile an expression to a closure over the runtime environment.
-
-    km maps axis names to concrete index values: ints for scalar sites,
-    int arrays for vectorized statements (FUSED only).
-    """
+def _compile_expr(ctx: _Ctx, expr, km):
+    """Compile an expression to a closure over the runtime environment of
+    one concrete instance; km maps axis names to its index values."""
     if isinstance(expr, Const):
         v = expr.value
         return lambda env: v
     if isinstance(expr, BinOp):
-        lf = _compile_expr(ctx, expr.left, km, fused)
-        rf = _compile_expr(ctx, expr.right, km, fused)
+        lf = _compile_expr(ctx, expr.left, km)
+        rf = _compile_expr(ctx, expr.right, km)
         op = _BINOPS[expr.op]
         return lambda env: op(lf(env), rf(env))
     if isinstance(expr, Call):
         if expr.fn == "pow":
-            bf = _compile_expr(ctx, expr.args[0], km, fused)
-            ef = _compile_expr(ctx, expr.args[1], km, fused)
+            bf = _compile_expr(ctx, expr.args[0], km)
+            ef = _compile_expr(ctx, expr.args[1], km)
             return lambda env: bf(env) ** ef(env)
         fn = _CALLS[expr.fn]
-        af = _compile_expr(ctx, expr.args[0], km, fused)
+        af = _compile_expr(ctx, expr.args[0], km)
         return lambda env: fn(af(env))
     if isinstance(expr, Ref):
-        return _compile_ref(ctx, expr.ref, km, fused)
+        return _compile_ref(ctx, expr.ref, km)
     raise TypeError(expr)
+
+
+def _unresolved_error(name) -> UndefinedReferenceError:
+    return UndefinedReferenceError(
+        f"input {name!r} has no value; supply a data table containing it "
+        "or pass inputs={...}")
 
 
 def _raiser(name):
     def fail(env):
-        raise UndefinedReferenceError(
-            f"input {name!r} has no value; supply a data table containing it "
-            "or pass inputs={...}")
+        raise _unresolved_error(name)
     return fail
 
 
-def _compile_ref(ctx: _Ctx, ref: VarRef, km, fused: bool):
+def _compile_ref(ctx: _Ctx, ref: VarRef, km):
     name = ref.name
     if name in ctx.inputs:
         inp = ctx.inputs[name]
@@ -571,78 +574,20 @@ def _compile_ref(ctx: _Ctx, ref: VarRef, km, fused: bool):
             v = inp.scalar
             return lambda env: v
         idx_values = [_term_value(ctx, t, km) for t in ref.indices]
-        pos = _input_positions(ctx, inp, idx_values)
-        vals = inp.array[pos]
-        if isinstance(vals, np.ndarray):
-            vals = vals.copy()
-        else:
-            vals = float(vals)
+        vals = float(inp.array[_input_positions(ctx, inp, idx_values)])
         return lambda env: vals
-
-    # model variable
-    if not fused:
-        if not ref.indices:
-            return lambda env: env.values[(name, 0)]
-        pos = _flat_positions(ctx, name, ref.indices, km)
-        key = (name, int(pos))
-        def read(env):
-            try:
-                return env.values[key]
-            except KeyError:
-                raise UndefinedReferenceError(
-                    f"value of {key[0]!r} required before it is defined "
-                    "(reference escapes ancestral order)") from None
-        return read
-
-    # FUSED: deterministic refs inline, stochastic refs read value arrays
-    any_det = any(n.kind == "deterministic" for n in ctx.graph.by_var[name])
     if not ref.indices:
-        if any_det:
-            node = ctx.node_of[(name, ())]
-            return _compile_expr(ctx, node.stmt.rhs, {}, fused=True)
-        return lambda env: env.arrays[name]
-    if any_det:
-        return _inline_deterministic(ctx, ref, km)
+        return lambda env: env.values[(name, 0)]
     pos = _flat_positions(ctx, name, ref.indices, km)
-    if isinstance(pos, np.ndarray):
-        return lambda env: ad.gather(env.arrays[name], pos)
-    p = int(pos)
-    return lambda env: ad.index(env.arrays[name], p)
-
-
-def _inline_deterministic(ctx: _Ctx, ref: VarRef, km):
-    """Replace a reference to a deterministic variable by its definition."""
-    var = ref.name
-    idx_values = [_term_value(ctx, t, km) for t in ref.indices]
-    vector = any(isinstance(v, np.ndarray) for v in idx_values)
-    if not vector:
-        key = tuple(int(v) for v in idx_values)
-        node = ctx.node_of.get((var, key))
-        if node is None:
+    key = (name, int(pos))
+    def read(env):
+        try:
+            return env.values[key]
+        except KeyError:
             raise UndefinedReferenceError(
-                f"{instance_name(var, key)} is not governed by any statement")
-        if node.kind != "deterministic":
-            # mixed stochastic/deterministic variable: read the array
-            pos = ctx.layouts[var].flat(key)
-            return lambda env: ad.index(env.arrays[var], pos)
-        sub_km = _binding_for(node, key)
-        return _compile_expr(ctx, node.stmt.rhs, sub_km, fused=True)
-    # vectorized consumer: all referenced instances must share one governor
-    n = max(np.asarray(v).size for v in idx_values if isinstance(v, np.ndarray))
-    cols = [np.broadcast_to(np.asarray(v), (n,)) for v in idx_values]
-    keys = [tuple(int(c[i]) for c in cols) for i in range(n)]
-    governors = {id(ctx.node_of.get((var, k))) for k in keys}
-    if len(governors) != 1:
-        raise _Demote()
-    node = ctx.node_of[(var, keys[0])]
-    if node.kind != "deterministic":
-        pos = _flat_positions(ctx, var, ref.indices, km)
-        return lambda env: ad.gather(env.arrays[var], pos)
-    sub_km = {}
-    for p, (kind, axis) in enumerate(node.selector):
-        if kind == "sym":
-            sub_km[axis] = cols[p]
-    return _compile_expr(ctx, node.stmt.rhs, sub_km, fused=True)
+                f"value of {key[0]!r} required before it is defined "
+                "(reference escapes ancestral order)") from None
+    return read
 
 
 def _binding_for(node: GraphNode, key: tuple):
@@ -657,13 +602,11 @@ def _binding_for(node: GraphNode, key: tuple):
 
 
 class _Env:
-    __slots__ = ("u", "arrays", "values", "jacobian")
+    __slots__ = ("u", "values")
 
     def __init__(self, u):
         self.u = u
-        self.arrays = {}
         self.values = {}
-        self.jacobian = 0.0
 
 
 # --- lowering ---------------------------------------------------------------------------
@@ -720,76 +663,171 @@ def site_schedule(graph: ModelGraph, report) -> list:
     return out
 
 
-def _latent_groups(slots, layouts):
-    """Group latent slots per variable and transform kind for assembly."""
-    groups: dict[str, dict[str, tuple[list, list]]] = {}
-    for slot in slots:
-        g = groups.setdefault(slot.variable, {})
-        offs, poss = g.setdefault(slot.transform.name, ([], []))
-        offs.append(slot.offset)
-        poss.append(layouts[slot.variable].flat(slot.key))
-    return groups
+class _FusedLowering:
+    """FUSED: the plan's log density as generated source (see codegen).
 
+    The assembly comes first: each stochastic variable with latent cells
+    gets one flat array, observed values with the constrained latent slots
+    written in. Then each statement adds a term, vectorized over its
+    domain, or one term per scalar site. References to deterministic
+    variables are inlined into their consumers."""
 
-def _build_assembly(bound: BoundModel, slots):
-    """FUSED: closure filling env.arrays for every stochastic variable and
-    accumulating the transform log-Jacobian into env.jacobian."""
-    graph = bound.graph
-    groups = _latent_groups(slots, bound.layouts)
-    transforms = {"identity": dist.IdentityTransform(),
-                  "exp": dist.ExpTransform(),
-                  "logistic": dist.LogisticTransform()}
-
-    scalar_parts = []   # (var, offset, transform) or (var, None, const value)
-    vector_parts = []   # (var, base array, [(offsets, positions, transform)])
-    for var, axes in graph.var_axes.items():
-        if all(n.kind == "deterministic" for n in graph.by_var[var]):
-            continue
-        layout = bound.layouts[var]
-        if not axes:
-            st, val = bound.status.get((var, ()), (None, math.nan))
-            if st == OBSERVED:
-                scalar_parts.append((var, None, float(val)))
-            else:
-                g = groups.get(var)
-                if not g:
-                    continue   # discrete latent in a simulate-only plan
-                kind, (offs, _) = next(iter(g.items()))
-                scalar_parts.append((var, offs[0], transforms[kind]))
-            continue
-        base = np.zeros(layout.size)
-        for key in layout.keys():
-            st, val = bound.status.get((var, key), (None, math.nan))
-            if st == OBSERVED:
-                base[layout.flat(key)] = val
-        puts = []
-        for kind, (offs, poss) in groups.get(var, {}).items():
-            puts.append((np.asarray(offs, dtype=np.int64),
-                         np.asarray(poss, dtype=np.int64), transforms[kind]))
-        vector_parts.append((var, base, puts))
-
-    def assemble(env):
-        jac = 0.0
-        for var, off, tr in scalar_parts:
-            if off is None:
-                env.arrays[var] = tr    # tr holds the observed constant
+    def __init__(self, bound: BoundModel, slots):
+        self.ctx = _Ctx(bound)
+        self.src = codegen.Source(len(slots))
+        # var -> Val of a scalar variable, or (array Val | None, observed
+        # base, latent-cell mask) of an indexed one
+        self.values = {}
+        by_var: dict[str, list] = {}
+        for slot in slots:
+            by_var.setdefault(slot.variable, []).append(slot)
+        graph = bound.graph
+        for var, axes in graph.var_axes.items():
+            if all(n.kind == "deterministic" for n in graph.by_var[var]):
                 continue
-            ui = ad.index(env.u, off)
-            env.arrays[var] = tr.constrain(ui)
-            if not isinstance(tr, dist.IdentityTransform):
-                jac = jac + tr.log_jacobian(ui)
-        for var, base, puts in vector_parts:
-            arr = base
-            for offs, poss, tr in puts:
-                seg = ad.gather(env.u, offs)
-                vals = tr.constrain(seg)
-                arr = ad.put(arr, poss, vals)
-                if not isinstance(tr, dist.IdentityTransform):
-                    jac = jac + ad.tsum(tr.log_jacobian(seg))
-            env.arrays[var] = arr
-        env.jacobian = jac
+            mine = by_var.get(var, [])
+            if not axes:
+                st, val = bound.status.get((var, ()), (None, math.nan))
+                if st == OBSERVED or not mine:
+                    # no slot: a discrete latent of a simulate-only plan
+                    self.values[var] = self.src.const(
+                        val if st == OBSERVED else math.nan)
+                else:
+                    self.values[var] = self.src.latent(
+                        mine[0].offset, mine[0].transform.name)
+                continue
+            layout = bound.layouts[var]
+            base = np.zeros(layout.size)
+            for key in layout.keys():
+                st, val = bound.status.get((var, key), (None, math.nan))
+                if st == OBSERVED:
+                    base[layout.flat(key)] = val
+            groups: dict[str, tuple[list, list]] = {}
+            for slot in mine:
+                offs, poss = groups.setdefault(slot.transform.name, ([], []))
+                offs.append(slot.offset)
+                poss.append(layout.flat(slot.key))
+            latent = np.zeros(layout.size, dtype=bool)
+            puts = []
+            for kind, (offs, poss) in groups.items():
+                poss = np.asarray(poss, dtype=np.int64)
+                puts.append((poss, self.src.latent(
+                    np.asarray(offs, dtype=np.int64), kind)))
+                latent[poss] = True
+            arr = self.src.assemble(base, puts) if puts else None
+            self.values[var] = (arr, base, latent)
 
-    return assemble
+    def read(self, var: str, pos) -> codegen.Val:
+        """A stochastic variable at compile-time flat position(s)."""
+        v = self.values[var]
+        if isinstance(v, codegen.Val):
+            return v
+        arr, base, latent = v
+        if arr is None or not latent[pos].any():
+            return self.src.const(base[pos])
+        return self.src.index(arr, pos,
+                              np.where(latent[pos], np.nan, base[pos]))
+
+    def expr(self, expr, km) -> codegen.Val:
+        """km maps axis names to index values: ints for a scalar site, int
+        arrays for a vectorized statement."""
+        if isinstance(expr, Const):
+            return self.src.const(expr.value)
+        if isinstance(expr, BinOp):
+            fmt, *partials = codegen.BINOPS[expr.op]
+            return self.src.op(fmt, self.expr(expr.left, km),
+                               self.expr(expr.right, km), partials=partials)
+        if isinstance(expr, Call):
+            fmt, *partials = codegen.CALLS[expr.fn]
+            return self.src.op(fmt, *(self.expr(a, km) for a in expr.args),
+                               partials=partials)
+        if isinstance(expr, Ref):
+            return self.ref(expr.ref, km)
+        raise TypeError(expr)
+
+    def ref(self, ref: VarRef, km) -> codegen.Val:
+        ctx, name = self.ctx, ref.name
+        if name in ctx.inputs:
+            inp = ctx.inputs[name]
+            if not inp.resolved:
+                raise _UnresolvedInput(name)
+            if not ref.indices:
+                return self.src.const(inp.scalar)
+            idx_values = [_term_value(ctx, t, km) for t in ref.indices]
+            return self.src.const(
+                inp.array[_input_positions(ctx, inp, idx_values)])
+        if any(n.kind == "deterministic" for n in ctx.graph.by_var[name]):
+            if not ref.indices:
+                return self.expr(ctx.node_of[(name, ())].stmt.rhs, {})
+            return self.inline_deterministic(ref, km)
+        if not ref.indices:
+            return self.values[name]
+        return self.read(name, _flat_positions(ctx, name, ref.indices, km))
+
+    def inline_deterministic(self, ref: VarRef, km) -> codegen.Val:
+        """Replace a reference to a deterministic variable by its
+        definition."""
+        ctx, var = self.ctx, ref.name
+        idx_values = [_term_value(ctx, t, km) for t in ref.indices]
+        if not any(isinstance(v, np.ndarray) for v in idx_values):
+            key = tuple(int(v) for v in idx_values)
+            node = ctx.node_of.get((var, key))
+            if node is None:
+                raise UndefinedReferenceError(
+                    f"{instance_name(var, key)} is not governed by any "
+                    "statement")
+            if node.kind != "deterministic":
+                # mixed stochastic/deterministic variable: read the array
+                return self.read(var, ctx.layouts[var].flat(key))
+            return self.expr(node.stmt.rhs, _binding_for(node, key))
+        # vectorized consumer: all referenced instances must share one governor
+        n = max(np.asarray(v).size for v in idx_values
+                if isinstance(v, np.ndarray))
+        cols = [np.broadcast_to(np.asarray(v), (n,)) for v in idx_values]
+        keys = [tuple(int(c[i]) for c in cols) for i in range(n)]
+        governors = {id(ctx.node_of.get((var, k))) for k in keys}
+        if len(governors) != 1:
+            raise _Demote()
+        node = ctx.node_of[(var, keys[0])]
+        if node.kind != "deterministic":
+            return self.read(var, _flat_positions(ctx, var, ref.indices, km))
+        sub_km = {}
+        for p, (kind, axis) in enumerate(node.selector):
+            if kind == "sym":
+                sub_km[axis] = cols[p]
+        return self.expr(node.stmt.rhs, sub_km)
+
+    def term(self, node: GraphNode, km, pos, observed) -> None:
+        """One statement's log-density term; rolled back if it raises."""
+        mark = self.src.mark()
+        try:
+            params = [self.expr(p, km) for p in node.stmt.dist.params]
+            var = node.variable
+            v = self.read(var, pos) if self.ctx.graph.var_axes[var] \
+                else self.values[var]
+            self.src.term(node.stmt.dist.name, v, params, observed)
+        except (_Demote, _UnresolvedInput):
+            self.src.rollback(mark)
+            raise
+
+    def statement(self, node: GraphNode) -> None:
+        """The term of a statement vectorized over its whole domain."""
+        domain = node.domain
+        layout = self.ctx.layouts[node.variable]
+        pos = np.asarray([layout.flat(k) for k in domain], dtype=np.int64)
+        obs = np.flatnonzero([self.ctx.bound.status[(node.variable, k)][0]
+                              == OBSERVED for k in domain])
+        observed = (len(obs) == len(domain)) if len(obs) in (0, len(domain)) \
+            else obs
+        self.term(node, _vector_km(node, domain), pos, observed)
+
+    def site(self, node: GraphNode, key) -> None:
+        """The term of one scalar site."""
+        var = node.variable
+        pos = self.ctx.layouts[var].flat(key) if self.ctx.graph.var_axes[var] \
+            else None
+        st, _ = self.ctx.bound.status[(var, key)]
+        self.term(node, _binding_for(node, key), pos, st == OBSERVED)
 
 
 def _vector_km(node: GraphNode, domain):
@@ -799,48 +837,6 @@ def _vector_km(node: GraphNode, domain):
         if kind == "sym":
             km[axis] = np.asarray(cols[p], dtype=np.int64)
     return km
-
-
-def _statement_term(ctx: _Ctx, node: GraphNode, domain, obs_only=None):
-    """Vectorized log-density term of one stochastic statement over `domain`.
-
-    obs_only: optional bool mask aligned with domain restricting the sum
-    (used for the observed-data log likelihood)."""
-    if obs_only is not None:
-        domain = [k for k, keep in zip(domain, obs_only) if keep]
-    if not domain:
-        return lambda env: 0.0
-    km = _vector_km(node, domain)
-    spec = dist.lookup(node.stmt.dist.name)
-    params = [_compile_expr(ctx, p, km, fused=True)
-              for p in node.stmt.dist.params]
-    layout = ctx.layouts[node.variable]
-    pos = np.asarray([layout.flat(k) for k in domain], dtype=np.int64)
-    logp = spec.logp
-
-    def term(env):
-        vals = ad.gather(env.arrays[node.variable], pos)
-        return ad.tsum(logp(vals, *(p(env) for p in params)))
-    return term
-
-
-def _scalar_term(ctx: _Ctx, node: GraphNode, key):
-    """Scalar log-density term of one instance (FUSED parameter/GENERAL site)."""
-    km = _binding_for(node, key)
-    spec = dist.lookup(node.stmt.dist.name)
-    params = [_compile_expr(ctx, p, km, fused=True)
-              for p in node.stmt.dist.params]
-    logp = spec.logp
-    var = node.variable
-    if ctx.graph.var_axes[var]:
-        pos = ctx.layouts[var].flat(key)
-        def term(env):
-            v = ad.index(env.arrays[var], pos)
-            return logp(v, *(p(env) for p in params))
-    else:
-        def term(env):
-            return logp(env.arrays[var], *(p(env) for p in params))
-    return term
 
 
 def _counts(bound: BoundModel, node: GraphNode, domain=None):
@@ -857,11 +853,12 @@ def _counts(bound: BoundModel, node: GraphNode, domain=None):
 
 
 def _lower_fused(bound: BoundModel, slots, report):
-    ctx = _Ctx(bound, FUSED)
+    lowering = _FusedLowering(bound, slots)
     graph = bound.graph
     scans = _scan_entries(report)
     order = topo_order(graph)
-    blocks, terms, obs_terms = [], [], []
+    blocks = []
+    unresolved = []
     last_member = {}
     for node in order:
         entry = _scan_entry_for(graph, node, scans)
@@ -876,12 +873,9 @@ def _lower_fused(bound: BoundModel, slots, report):
                                          node.variable, key, st,
                                          node.stmt.dist.name))
             try:
-                t = _scalar_term(ctx, node, key)
+                lowering.site(node, key)
             except _UnresolvedInput as e:
-                t = _raiser(e.name)
-            terms.append(t)
-            if st == OBSERVED:
-                obs_terms.append(t)
+                unresolved.append(e.name)
 
     for node in order:
         if not node.domain:
@@ -917,19 +911,14 @@ def _lower_fused(bound: BoundModel, slots, report):
                 replication_extent=rep_extent,
                 n_observed=n_obs, n_imputed=n_imp))
             for m in members:
+                if m.kind == "deterministic":
+                    continue   # inlined into consumers
                 try:
-                    term = _statement_term(ctx, m, m.domain)
+                    lowering.statement(m)
                 except _UnresolvedInput as e:
-                    terms.append(_raiser(e.name))
-                    continue
+                    unresolved.append(e.name)
                 except _Demote:
                     emit_scalar_sites(m, with_blocks=False)
-                    continue
-                terms.append(term)
-                obs_mask = [bound.status[(m.variable, k)][0] == OBSERVED
-                            for k in m.domain]
-                if any(obs_mask):
-                    obs_terms.append(_statement_term(ctx, m, m.domain, obs_mask))
             continue
         if not node.is_indexed or node.n_symbolic == 0:
             emit_scalar_sites(node)
@@ -940,7 +929,7 @@ def _lower_fused(bound: BoundModel, slots, report):
         general = (entry_kind == GENERAL) or any(e.has_lookup for e in node.deps)
         if not general:
             try:
-                term = _statement_term(ctx, node, node.domain)
+                lowering.statement(node)
             except (_Demote, _UnresolvedInput):
                 general = True
         if general:
@@ -950,18 +939,12 @@ def _lower_fused(bound: BoundModel, slots, report):
         blocks.append(IIDBlock(variable=node.variable, extent=len(node.domain),
                                dist=node.stmt.dist.name, n_observed=n_obs,
                                n_imputed=n_imp, n_latent=n_lat))
-        terms.append(term)
-        obs_mask = [bound.status[(node.variable, k)][0] == OBSERVED
-                    for k in node.domain]
-        if any(obs_mask):
-            obs_terms.append(_statement_term(ctx, node, node.domain, obs_mask))
 
-    assemble = _build_assembly(bound, slots)
-    return blocks, terms, obs_terms, assemble
+    return blocks, lowering.src.build(), next(iter(unresolved), None)
 
 
 def _lower_unrolled(bound: BoundModel, slots, report):
-    ctx = _Ctx(bound, UNROLLED)
+    ctx = _Ctx(bound)
     schedule = site_schedule(bound.graph, report)
     slot_of = {(s.variable, s.key): s for s in slots}
     blocks, steps, obs_flags = [], [], []
@@ -974,7 +957,7 @@ def _lower_unrolled(bound: BoundModel, slots, report):
         if node.kind == "deterministic":
             try:
                 expr = _compile_expr(ctx, node.stmt.rhs,
-                                     _binding_for(node, key), fused=False)
+                                     _binding_for(node, key))
             except _UnresolvedInput as e:
                 expr = _raiser(e.name)
             def step(env, expr=expr, k=(var, flat)):
@@ -986,8 +969,7 @@ def _lower_unrolled(bound: BoundModel, slots, report):
             continue
         spec = dist.lookup(node.stmt.dist.name)
         try:
-            params = [_compile_expr(ctx, p, _binding_for(node, key),
-                                    fused=False)
+            params = [_compile_expr(ctx, p, _binding_for(node, key))
                       for p in node.stmt.dist.params]
             bad = None
         except _UnresolvedInput as e:
@@ -1044,12 +1026,16 @@ class ExecutablePlan:
         self.structure = report
         self.simulate_only = simulate_only
         self.bindings = bound.bindings
-        self._assemble = None
-        self._terms = []
-        self._obs_terms = []
-        self._steps = []
+        self._program = None            # FUSED: codegen.Program
+        self._unresolved = None         # FUSED: an input with no value
+        self._steps = []                # UNROLLED: per-site closures
         self._obs_flags = []
         self._sim_program = None
+        by_transform: dict[object, list] = {}
+        for s in slots:
+            by_transform.setdefault(s.transform, []).append(s.offset)
+        self._transforms = [(tr, np.asarray(offs, dtype=np.int64))
+                            for tr, offs in by_transform.items()]
 
     # -- layout ----------------------------------------------------------
 
@@ -1072,46 +1058,40 @@ class ExecutablePlan:
     def constrain(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         out = np.empty_like(u)
-        for kind, offs in self._kind_offsets().items():
-            tr = {"identity": dist.IdentityTransform(),
-                  "exp": dist.ExpTransform(),
-                  "logistic": dist.LogisticTransform()}[kind]
+        for tr, offs in self._transforms:
             out[offs] = tr.constrain(u[offs])
         return out
 
     def unconstrain(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         out = np.empty_like(values)
-        for kind, offs in self._kind_offsets().items():
-            tr = {"identity": dist.IdentityTransform(),
-                  "exp": dist.ExpTransform(),
-                  "logistic": dist.LogisticTransform()}[kind]
+        for tr, offs in self._transforms:
             out[offs] = tr.unconstrain(values[offs])
         return out
 
-    def _kind_offsets(self):
-        by_kind: dict[str, list] = {}
-        for s in self.slots:
-            by_kind.setdefault(s.transform.name, []).append(s.offset)
-        return {k: np.asarray(v, dtype=np.int64) for k, v in by_kind.items()}
-
     # -- evaluation --------------------------------------------------------
 
-    def eval_logdensity(self, u):
-        """Core evaluation; u may be a raw vector or an autodiff Node."""
+    def _check_evaluable(self) -> None:
         if self.simulate_only:
             raise MissingDiscreteUnsupportedError(
                 "plan has unobserved discrete sites; it can only simulate")
-        env = _Env(u)
+        if self._unresolved is not None:
+            raise _unresolved_error(self._unresolved)
+
+    def eval_logdensity(self, u):
+        """Core evaluation; u may be a raw vector or an autodiff Node. A
+        FUSED plan records one tape entry for the whole density, with the
+        generated gradient as its partial."""
+        self._check_evaluable()
         if self.mode == FUSED:
-            self._assemble(env)
-            total = env.jacobian
-            for t in self._terms:
-                total = total + t(env)
-        else:
-            total = 0.0
-            for s in self._steps:
-                total = total + s(env)
+            if isinstance(u, ad.Node):
+                value, grad = self._program.value_and_grad(u.value)
+                return u.tape.elementwise(value, (u,), (grad,))
+            return self._program.value(u)
+        env = _Env(u)
+        total = 0.0
+        for s in self._steps:
+            total = total + s(env)
         return total
 
     def logdensity(self, u) -> float:
@@ -1125,27 +1105,34 @@ class ExecutablePlan:
             return float(self.eval_logdensity(u))
 
     def logdensity_and_grad(self, u):
-        return ad.grad_logdensity(self, u)
+        """Value and gradient at u; see `autodiff.grad_logdensity` for how
+        NaN and infinite values come back."""
+        if self.mode != FUSED:
+            return ad.grad_logdensity(self, u)
+        self._check_evaluable()
+        u = np.asarray(u, dtype=float)
+        if np.isnan(u).any():
+            raise NonFiniteDensityError("latent vector contains NaN")
+        with np.errstate(all="ignore"):
+            value, grad = self._program.value_and_grad(u)
+        if not np.isfinite(grad).all():
+            # overflow inside the adjoint: treat like a rejected point
+            return -math.inf, np.zeros_like(u)
+        return value, grad
 
     def observed_loglik(self, u) -> float:
         """Sum of log densities of OBSERVED sites at the given latent vector."""
-        if self.simulate_only:
-            raise MissingDiscreteUnsupportedError(
-                "plan has unobserved discrete sites; it can only simulate")
+        self._check_evaluable()
         u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
-            env = _Env(u)
             if self.mode == FUSED:
-                self._assemble(env)
-                total = 0.0
-                for t in self._obs_terms:
-                    total = total + t(env)
-            else:
-                total = 0.0
-                for s, is_obs in zip(self._steps, self._obs_flags):
-                    lp = s(env)
-                    if is_obs:
-                        total = total + lp
+                return self._program.observed(u)
+            env = _Env(u)
+            total = 0.0
+            for s, is_obs in zip(self._steps, self._obs_flags):
+                lp = s(env)
+                if is_obs:
+                    total = total + lp
             return float(total)
 
 
@@ -1153,11 +1140,10 @@ def lower(bound: BoundModel, mode: str = FUSED) -> ExecutablePlan:
     report = detect_structure(bound.graph)
     slots, simulate_only = build_layout(bound)
     if mode == FUSED:
-        blocks, terms, obs_terms, assemble = _lower_fused(bound, slots, report)
+        blocks, program, unresolved = _lower_fused(bound, slots, report)
         plan = ExecutablePlan(bound, slots, simulate_only, FUSED, blocks, report)
-        plan._assemble = assemble
-        plan._terms = terms
-        plan._obs_terms = obs_terms
+        plan._program = program
+        plan._unresolved = unresolved
     elif mode == UNROLLED:
         blocks, steps, obs_flags = _lower_unrolled(bound, slots, report)
         plan = ExecutablePlan(bound, slots, simulate_only, UNROLLED, blocks,
@@ -1230,7 +1216,7 @@ def _simulation_program(plan: ExecutablePlan):
     if plan._sim_program is not None:
         return plan._sim_program
     bound = plan.bound
-    ctx = _Ctx(bound, UNROLLED)
+    ctx = _Ctx(bound)
     schedule = site_schedule(bound.graph, plan.structure)
     program = []
     for node, key in schedule:
@@ -1238,7 +1224,7 @@ def _simulation_program(plan: ExecutablePlan):
         flat = bound.layouts[var].flat(key)
         km = _binding_for(node, key)
         if node.kind == "deterministic":
-            expr = _compile_expr(ctx, node.stmt.rhs, km, fused=False)
+            expr = _compile_expr(ctx, node.stmt.rhs, km)
             def step(env, rng, n, expr=expr, k=(var, flat)):
                 v = expr(env)
                 env.values[k] = np.broadcast_to(np.asarray(v, dtype=float),
@@ -1248,7 +1234,7 @@ def _simulation_program(plan: ExecutablePlan):
             program.append(step)
             continue
         spec = dist.lookup(node.stmt.dist.name)
-        params = [_compile_expr(ctx, p, km, fused=False)
+        params = [_compile_expr(ctx, p, km)
                   for p in node.stmt.dist.params]
         sample = spec.sample
         def step(env, rng, n, params=params, sample=sample, k=(var, flat)):

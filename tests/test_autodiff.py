@@ -87,35 +87,6 @@ def test_raw_passthrough():
     assert ad.tsum(np.ones(4)) == 4.0
 
 
-def test_gather():
-    idx = np.array([2, 0, 2])
-    check_grad(lambda x: ad.tsum(ad.gather(x, idx) * np.array([1.0, 2.0, 3.0])),
-               [1.0, 2.0, 3.0])
-    # duplicate indices accumulate
-    tape = ad.Tape()
-    x = tape.input(np.array([1.0, 2.0, 3.0]))
-    out = ad.tsum(ad.gather(x, idx))
-    assert tape.backward(out, x) == pytest.approx([1.0, 0.0, 2.0])
-
-
-def test_put():
-    base = np.zeros(4)
-    positions = np.array([1, 3])
-    tape = ad.Tape()
-    vals = tape.input(np.array([5.0, 7.0]))
-    out = ad.tsum(ad.put(base, positions, vals) * np.arange(4.0))
-    assert tape.backward(out, vals) == pytest.approx([1.0, 3.0])
-
-
-def test_put_preserves_base_gradient():
-    positions = np.array([0])
-    tape = ad.Tape()
-    base = tape.input(np.array([1.0, 2.0, 3.0]))
-    out = ad.tsum(ad.put(base, positions, np.array([9.0])) * 2.0)
-    # the overwritten cell contributes nothing
-    assert tape.backward(out, base) == pytest.approx([0.0, 2.0, 2.0])
-
-
 def test_index():
     tape = ad.Tape()
     x = tape.input(np.array([1.0, 2.0, 3.0]))
