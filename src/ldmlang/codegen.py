@@ -2,10 +2,10 @@
 
 FUSED lowering describes a plan's log density to a `Source`: the assembly of
 the model-variable arrays from the latent vector, then one log-density term
-per statement or scalar site. The `Source` writes straight-line NumPy
-statements for the forward pass and keeps, for every statement that depends
-on the latent vector, how to send its adjoint back to its operands. `build`
-emits three Python functions from that source, compiled once on first use:
+per statement. The `Source` writes straight-line NumPy statements for the
+forward pass and keeps, for every statement that depends on the latent
+vector, how to send its adjoint back to its operands. `build` emits three
+Python functions from that source, compiled once on first use:
 
   * value(u)            log density;
   * value_and_grad(u)   log density and gradient; a value that is NaN or
@@ -142,16 +142,6 @@ class Source:
         self.ns[name] = value
         return name
 
-    def mark(self) -> tuple:
-        return (len(self.lines), len(self.tape), len(self.parts),
-                len(self.obs_parts))
-
-    def rollback(self, mark: tuple) -> None:
-        """Drop what was emitted since `mark`."""
-        for seq, n in zip((self.lines, self.tape, self.parts, self.obs_parts),
-                          mark):
-            del seq[n:]
-
     def value(self, v: Val):
         """Compile-time value of a constant."""
         return eval(v.code, self.ns)
@@ -241,6 +231,19 @@ class Source:
             self.lines.append(f"{arr.code}[{key}] = {x.code}")
             self.tape.append(("put", arr, key, x))
         return arr
+
+    def stack(self, n: int, pieces) -> Val:
+        """A vector of length n with each Val of `pieces` [(rows, Val)]
+        written at its rows; constant pieces are folded in at compile
+        time."""
+        base = np.zeros(n)
+        puts = []
+        for rows, x in pieces:
+            if x.active:
+                puts.append((rows, x))
+            else:
+                base[rows] = self.value(x)
+        return self.assemble(base, puts) if puts else self.const(base)
 
     def index(self, arr: Val, pos, fixed=None) -> Val:
         """arr[pos] for an int or an array of compile-time positions;
@@ -364,7 +367,10 @@ class Source:
                     rev.append(f"{d} += np.bincount({key}, {g}, {arr.n})")
             elif kind == "put":
                 _, _, key, x = rec
-                add(x, g if key is None else f"{g}[{key}]", x.n)
+                code = g if key is None else f"{g}[{key}]"
+                if key is not None and x.n is None:
+                    code += ".sum()"    # a scalar written to several rows
+                add(x, code, x.n)
         return rev
 
     def build(self) -> "Program":

@@ -3,13 +3,14 @@
 Two lowering modes produce mathematically identical densities over the same
 latent vector:
 
-  * FUSED      - each statement evaluates vectorized over its whole governed
-                 domain through precomputed flat-index arrays; recurrences and
-                 DBN slices become gathers against shifted positions (all
-                 values are known when conditioning, so the time loop
-                 disappears from density evaluation); deterministic statements
-                 are inlined into their consumers. The whole plan becomes one
-                 generated value-and-gradient function (see codegen).
+  * FUSED      - each stochastic statement becomes one term, vectorized over
+                 its whole governed domain through precomputed flat-index
+                 arrays; recurrences, DBN slices and lookups become gathers
+                 against shifted or looked-up positions (all values are known
+                 when conditioning, so the time loop disappears from density
+                 evaluation); deterministic statements are inlined into their
+                 consumers. The whole plan becomes one generated
+                 value-and-gradient function (see codegen).
   * UNROLLED   - one scalar site per concrete instance, evaluated in ancestral
                  order on the autodiff tape; deterministic instances stay as
                  named intermediates. It is the reference semantics.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +39,13 @@ from .errors import (
     UndefinedReferenceError,
 )
 from .frontend.nodes import (
-    ArrayLookup, AssignStmt, BinOp, Call, Const, IndexVar, IntLiteral, Lag,
-    ProgramAst, Ref, SampleStmt, VarRef,
+    ArrayLookup, BinOp, Call, Const, IndexVar, IntLiteral, Lag, Ref, VarRef,
 )
 from .frontend.parser import parse_program
 from .frontend.validate import validate
 from .graph import (
-    DBN_BLOCK, GENERAL, IID_BLOCK, RECURRENCE, GraphNode, ModelGraph,
-    StructureEntry, assign_domains, build_graph, detect_structure,
-    instance_name, resolve_indices, topo_order,
+    DBN_BLOCK, RECURRENCE, GraphNode, ModelGraph, assign_domains,
+    build_graph, detect_structure, instance_name, resolve_indices, topo_order,
 )
 
 FUSED = "FUSED"
@@ -170,11 +169,6 @@ def _lookup_terms(term):
         yield from _lookup_terms(term.inner)
 
 
-def _axis_extent(ranges, axis):
-    lo, hi = ranges[axis]
-    return hi - lo + 1
-
-
 def bind(graph: ModelGraph, ranges: dict, obs_vars, tables=(),
          inputs: dict | None = None) -> BoundModel:
     """Attach observations and inputs to the graph's concrete instances."""
@@ -270,6 +264,10 @@ def bind(graph: ModelGraph, ranges: dict, obs_vars, tables=(),
                 continue
             tkey = tuple(int(key[p]) for p in perm)
             value = table.get(var, tkey)
+            if math.isinf(value):
+                raise BindError(f"observed value of {instance_name(var, key)} "
+                                f"is {value}; a cell must be finite or "
+                                "missing")
             if math.isnan(value):
                 spec = dist.lookup(node.stmt.dist.name)
                 if spec.is_discrete:
@@ -317,7 +315,7 @@ def _fill_input_from_table(inp: _Input, table: DataTable, ranges, graph) -> None
         if finite.size != 1:
             raise BindError(f"scalar input {inp.name!r} needs exactly one "
                             f"value, table has {finite.size}")
-        inp.scalar = float(finite[0])
+        inp.scalar = _finite_input(inp.name, (), float(finite[0]))
         return
     if any(a is None for a in inp.axes):
         raise BindError(f"input {inp.name!r} has an underdetermined index "
@@ -335,8 +333,15 @@ def _fill_input_from_table(inp: _Input, table: DataTable, ranges, graph) -> None
         if math.isnan(v):
             raise BindError(f"input {inp.name!r} is missing a value at "
                             f"{instance_name(inp.name, key)}")
-        out[i] = v
+        out[i] = _finite_input(inp.name, key, v)
     inp.array = out
+
+
+def _finite_input(name, key, v: float) -> float:
+    if math.isinf(v):
+        raise BindError(f"input {instance_name(name, key)} is {v}; a cell "
+                        "must be finite")
+    return v
 
 
 # --- latent layout ----------------------------------------------------------------
@@ -388,7 +393,7 @@ def build_layout(bound: BoundModel):
     return slots, simulate_only
 
 
-# --- block metadata ------------------------------------------------------------------
+# --- scalar sites --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -400,38 +405,12 @@ class ScalarSite:
     dist: str | None
 
 
-@dataclass(frozen=True)
-class IIDBlock:
-    variable: str
-    extent: int
-    dist: str
-    n_observed: int
-    n_imputed: int
-    n_latent: int
-
-
-@dataclass(frozen=True)
-class ScanBlock:
-    index: str
-    steps: int
-    members: tuple               # per-step site variables, within-slice order
-    carry: dict                  # member -> lag window size
-    replication_axes: tuple
-    replication_extent: int
-    n_observed: int
-    n_imputed: int
-
-
 # --- expression compilation -----------------------------------------------------------
 
 
 class _UnresolvedInput(Exception):
     def __init__(self, name):
         self.name = name
-
-
-class _Demote(Exception):
-    """Vector compilation hit a case that needs per-instance lowering."""
 
 
 _BINOPS = {"+": operator.add, "-": operator.sub,
@@ -668,13 +647,17 @@ class _FusedLowering:
 
     The assembly comes first: each stochastic variable with latent cells
     gets one flat array, observed values with the constrained latent slots
-    written in. Then each statement adds a term, vectorized over its
-    domain, or one term per scalar site. References to deterministic
-    variables are inlined into their consumers."""
+    written in. Then each stochastic statement adds one term, vectorized
+    over its whole domain; a statement with no symbolic axis is the
+    one-site case and is recorded in `blocks` as a `ScalarSite`. All
+    positions are compile-time constants, so recurrences, lags and lookups
+    are all gathers. References to deterministic variables are inlined into
+    their consumers, each cell from the statement that governs it."""
 
     def __init__(self, bound: BoundModel, slots):
         self.ctx = _Ctx(bound)
         self.src = codegen.Source(len(slots))
+        self.blocks = []
         # var -> Val of a scalar variable, or (array Val | None, observed
         # base, latent-cell mask) of an indexed one
         self.values = {}
@@ -729,8 +712,8 @@ class _FusedLowering:
                               np.where(latent[pos], np.nan, base[pos]))
 
     def expr(self, expr, km) -> codegen.Val:
-        """km maps axis names to index values: ints for a scalar site, int
-        arrays for a vectorized statement."""
+        """km maps axis names to index values: ints for a one-site
+        statement, int arrays for a vectorized one."""
         if isinstance(expr, Const):
             return self.src.const(expr.value)
         if isinstance(expr, BinOp):
@@ -766,188 +749,95 @@ class _FusedLowering:
 
     def inline_deterministic(self, ref: VarRef, km) -> codegen.Val:
         """Replace a reference to a deterministic variable by its
-        definition."""
+        definition. A vectorized reference whose cells have several
+        governing statements inlines each one over its own rows and stacks
+        the pieces."""
         ctx, var = self.ctx, ref.name
         idx_values = [_term_value(ctx, t, km) for t in ref.indices]
         if not any(isinstance(v, np.ndarray) for v in idx_values):
             key = tuple(int(v) for v in idx_values)
-            node = ctx.node_of.get((var, key))
-            if node is None:
-                raise UndefinedReferenceError(
-                    f"{instance_name(var, key)} is not governed by any "
-                    "statement")
-            if node.kind != "deterministic":
-                # mixed stochastic/deterministic variable: read the array
-                return self.read(var, ctx.layouts[var].flat(key))
-            return self.expr(node.stmt.rhs, _binding_for(node, key))
-        # vectorized consumer: all referenced instances must share one governor
+            return self.governed(var, self._governor(var, key), key)
         n = max(np.asarray(v).size for v in idx_values
                 if isinstance(v, np.ndarray))
         cols = [np.broadcast_to(np.asarray(v), (n,)) for v in idx_values]
-        keys = [tuple(int(c[i]) for c in cols) for i in range(n)]
-        governors = {id(ctx.node_of.get((var, k))) for k in keys}
-        if len(governors) != 1:
-            raise _Demote()
-        node = ctx.node_of[(var, keys[0])]
-        if node.kind != "deterministic":
-            return self.read(var, _flat_positions(ctx, var, ref.indices, km))
-        sub_km = {}
-        for p, (kind, axis) in enumerate(node.selector):
-            if kind == "sym":
-                sub_km[axis] = cols[p]
-        return self.expr(node.stmt.rhs, sub_km)
+        rows_of: dict[int, tuple] = {}
+        for i, key in enumerate(zip(*(c.tolist() for c in cols))):
+            node = self._governor(var, key)
+            rows_of.setdefault(id(node), (node, []))[1].append(i)
+        pieces = [(np.asarray(rows, dtype=np.int64),
+                   self.governed(var, node, [c[rows] for c in cols]))
+                  for node, rows in rows_of.values()]
+        if len(pieces) == 1:
+            return pieces[0][1]
+        return self.src.stack(n, pieces)
 
-    def term(self, node: GraphNode, km, pos, observed) -> None:
-        """One statement's log-density term; rolled back if it raises."""
-        mark = self.src.mark()
-        try:
-            params = [self.expr(p, km) for p in node.stmt.dist.params]
-            var = node.variable
-            v = self.read(var, pos) if self.ctx.graph.var_axes[var] \
-                else self.values[var]
-            self.src.term(node.stmt.dist.name, v, params, observed)
-        except (_Demote, _UnresolvedInput):
-            self.src.rollback(mark)
-            raise
+    def _governor(self, var: str, key: tuple) -> GraphNode:
+        node = self.ctx.node_of.get((var, key))
+        if node is None:
+            raise UndefinedReferenceError(
+                f"{instance_name(var, key)} is not governed by any statement")
+        return node
+
+    def governed(self, var: str, node: GraphNode, key) -> codegen.Val:
+        """var at index values `key` (ints, or int arrays of one length),
+        all governed by `node`."""
+        if node.kind != "deterministic":
+            # mixed stochastic/deterministic variable: read the array
+            layout = self.ctx.layouts[var]
+            if isinstance(key, tuple):
+                return self.read(var, layout.flat(key))
+            return self.read(var, np.asarray(
+                [layout.flat(k) for k in zip(*key)], dtype=np.int64))
+        return self.expr(node.stmt.rhs, {
+            axis: k for (kind, axis), k in zip(node.selector, key)
+            if kind == "sym"})
 
     def statement(self, node: GraphNode) -> None:
-        """The term of a statement vectorized over its whole domain."""
-        domain = node.domain
-        layout = self.ctx.layouts[node.variable]
-        pos = np.asarray([layout.flat(k) for k in domain], dtype=np.int64)
-        obs = np.flatnonzero([self.ctx.bound.status[(node.variable, k)][0]
-                              == OBSERVED for k in domain])
-        observed = (len(obs) == len(domain)) if len(obs) in (0, len(domain)) \
-            else obs
-        self.term(node, _vector_km(node, domain), pos, observed)
-
-    def site(self, node: GraphNode, key) -> None:
-        """The term of one scalar site."""
-        var = node.variable
-        pos = self.ctx.layouts[var].flat(key) if self.ctx.graph.var_axes[var] \
-            else None
-        st, _ = self.ctx.bound.status[(var, key)]
-        self.term(node, _binding_for(node, key), pos, st == OBSERVED)
-
-
-def _vector_km(node: GraphNode, domain):
-    km = {}
-    cols = list(zip(*domain)) if domain else []
-    for p, (kind, axis) in enumerate(node.selector):
-        if kind == "sym":
-            km[axis] = np.asarray(cols[p], dtype=np.int64)
-    return km
+        """The term of one stochastic statement over its whole domain."""
+        var, domain = node.variable, node.domain
+        status = self.ctx.bound.status
+        indexed = bool(self.ctx.graph.var_axes[var])
+        if node.n_symbolic == 0:
+            (key,) = domain
+            st, _ = status[(var, key)]
+            self.blocks.append(ScalarSite(instance_name(var, key), var, key,
+                                          st, node.stmt.dist.name))
+            pos = self.ctx.layouts[var].flat(key) if indexed else None
+            km, observed = {}, st == OBSERVED
+        else:
+            layout = self.ctx.layouts[var]
+            pos = np.asarray([layout.flat(k) for k in domain], dtype=np.int64)
+            obs = np.flatnonzero([status[(var, k)][0] == OBSERVED
+                                  for k in domain])
+            observed = (len(obs) == len(domain)) \
+                if len(obs) in (0, len(domain)) else obs
+            km = {axis: np.asarray(col, dtype=np.int64)
+                  for (kind, axis), col in zip(node.selector, zip(*domain))
+                  if kind == "sym"}
+        params = [self.expr(p, km) for p in node.stmt.dist.params]
+        v = self.read(var, pos) if indexed else self.values[var]
+        self.src.term(node.stmt.dist.name, v, params, observed)
 
 
-def _counts(bound: BoundModel, node: GraphNode, domain=None):
-    n_obs = n_imp = n_lat = 0
-    for key in (domain if domain is not None else node.domain):
-        st, _ = bound.status[(node.variable, key)]
-        if st == OBSERVED:
-            n_obs += 1
-        elif st == MISSING_IMPUTED:
-            n_imp += 1
-        elif st == LATENT_PARAM:
-            n_lat += 1
-    return n_obs, n_imp, n_lat
-
-
-def _lower_fused(bound: BoundModel, slots, report):
+def _lower_fused(bound: BoundModel, slots):
+    """Scalar sites, program, and the first input with no value or None; a
+    plan with an unresolved input never runs its program."""
     lowering = _FusedLowering(bound, slots)
-    graph = bound.graph
-    scans = _scan_entries(report)
-    order = topo_order(graph)
-    blocks = []
-    unresolved = []
-    last_member = {}
-    for node in order:
-        entry = _scan_entry_for(graph, node, scans)
-        if entry is not None:
-            last_member[entry.index] = node
-
-    def emit_scalar_sites(node, with_blocks=True):
-        for key in node.domain:
-            st, _ = bound.status[(node.variable, key)]
-            if with_blocks:
-                blocks.append(ScalarSite(instance_name(node.variable, key),
-                                         node.variable, key, st,
-                                         node.stmt.dist.name))
-            try:
-                lowering.site(node, key)
-            except _UnresolvedInput as e:
-                unresolved.append(e.name)
-
-    for node in order:
-        if not node.domain:
-            continue
-        if node.kind == "deterministic":
-            continue   # inlined into consumers
-        entry = _scan_entry_for(graph, node, scans)
-        if entry is not None:
-            if last_member[entry.index] is not node:
-                continue
-            members = [n for n in order
-                       if _scan_entry_for(graph, n, scans) is entry]
-            times = sorted({k[-1] for m in members for k in m.domain})
-            rep_extent = 1
-            for a in entry.replication_axes:
-                rep_extent *= _axis_extent(bound.ranges, a)
-            n_obs = n_imp = 0
-            for m in members:
-                o, i, _ = _counts(bound, m)
-                n_obs += o
-                n_imp += i
-            carry = {}
-            for m in members:
-                for e in m.deps:
-                    if e.target in entry.members:
-                        lag = e.lag_by_axis.get(entry.index, 0)
-                        if lag > 0:
-                            carry[e.target] = max(carry.get(e.target, 0), lag)
-            blocks.append(ScanBlock(
-                index=entry.index, steps=len(times),
-                members=tuple(m.variable for m in members), carry=carry,
-                replication_axes=entry.replication_axes,
-                replication_extent=rep_extent,
-                n_observed=n_obs, n_imputed=n_imp))
-            for m in members:
-                if m.kind == "deterministic":
-                    continue   # inlined into consumers
-                try:
-                    lowering.statement(m)
-                except _UnresolvedInput as e:
-                    unresolved.append(e.name)
-                except _Demote:
-                    emit_scalar_sites(m, with_blocks=False)
-            continue
-        if not node.is_indexed or node.n_symbolic == 0:
-            emit_scalar_sites(node)
-            continue
-        # symbolic statement outside any scan: IID if vectorizable, else unroll
-        axis = node.selector[-1][1] if node.selector[-1][0] == "sym" else None
-        entry_kind = report.entries.get(axis).kind if axis in report.entries else None
-        general = (entry_kind == GENERAL) or any(e.has_lookup for e in node.deps)
-        if not general:
+    unresolved = None
+    for node in topo_order(bound.graph):
+        if node.kind == "stochastic" and node.domain:
             try:
                 lowering.statement(node)
-            except (_Demote, _UnresolvedInput):
-                general = True
-        if general:
-            emit_scalar_sites(node)
-            continue
-        n_obs, n_imp, n_lat = _counts(bound, node)
-        blocks.append(IIDBlock(variable=node.variable, extent=len(node.domain),
-                               dist=node.stmt.dist.name, n_observed=n_obs,
-                               n_imputed=n_imp, n_latent=n_lat))
-
-    return blocks, lowering.src.build(), next(iter(unresolved), None)
+            except _UnresolvedInput as e:
+                unresolved = unresolved or e.name
+    return lowering.blocks, lowering.src.build(), unresolved
 
 
 def _lower_unrolled(bound: BoundModel, slots, report):
     ctx = _Ctx(bound)
     schedule = site_schedule(bound.graph, report)
     slot_of = {(s.variable, s.key): s for s in slots}
-    blocks, steps, obs_flags = [], [], []
+    steps, obs_flags = [], []
 
     for node, key in schedule:
         var = node.variable
@@ -963,7 +853,6 @@ def _lower_unrolled(bound: BoundModel, slots, report):
             def step(env, expr=expr, k=(var, flat)):
                 env.values[k] = expr(env)
                 return 0.0
-            blocks.append(ScalarSite(name, var, key, DETERMINISTIC, None))
             steps.append(step)
             obs_flags.append(False)
             continue
@@ -1002,11 +891,10 @@ def _lower_unrolled(bound: BoundModel, slots, report):
                     if not identity:
                         lp = lp + tr.log_jacobian(ui)
                     return lp
-        blocks.append(ScalarSite(name, var, key, st, node.stmt.dist.name))
         steps.append(step)
         obs_flags.append(st == OBSERVED)
 
-    return blocks, steps, obs_flags
+    return steps, obs_flags
 
 
 # --- the executable plan ---------------------------------------------------------------
@@ -1022,7 +910,7 @@ class ExecutablePlan:
         self.ranges = bound.ranges
         self.slots = slots
         self.mode = mode
-        self.blocks = blocks
+        self.blocks = blocks            # FUSED: one-site statements
         self.structure = report
         self.simulate_only = simulate_only
         self.bindings = bound.bindings
@@ -1140,13 +1028,13 @@ def lower(bound: BoundModel, mode: str = FUSED) -> ExecutablePlan:
     report = detect_structure(bound.graph)
     slots, simulate_only = build_layout(bound)
     if mode == FUSED:
-        blocks, program, unresolved = _lower_fused(bound, slots, report)
+        blocks, program, unresolved = _lower_fused(bound, slots)
         plan = ExecutablePlan(bound, slots, simulate_only, FUSED, blocks, report)
         plan._program = program
         plan._unresolved = unresolved
     elif mode == UNROLLED:
-        blocks, steps, obs_flags = _lower_unrolled(bound, slots, report)
-        plan = ExecutablePlan(bound, slots, simulate_only, UNROLLED, blocks,
+        steps, obs_flags = _lower_unrolled(bound, slots, report)
+        plan = ExecutablePlan(bound, slots, simulate_only, UNROLLED, [],
                               report)
         plan._steps = steps
         plan._obs_flags = obs_flags

@@ -26,20 +26,22 @@ from conftest import CORPUS, model_text
 # --- shared model/data builders -------------------------------------------------
 
 def capped_ast(name, cap=12):
-    """Corpus model with every index extent clipped to `cap`."""
+    """Corpus model with every index extent clipped to `cap` (None: the
+    model's full size)."""
     ast = parse_program(model_text(name))
     for d in ast.indices:
-        d.hi = min(d.hi, d.lo + cap - 1)
+        if cap is not None:
+            d.hi = min(d.hi, d.lo + cap - 1)
     return ast, {d.name: (d.lo, d.hi) for d in ast.indices}
 
 
-def corpus_case(name, seed=0):
+def corpus_case(name, seed=0, cap=12):
     """(ast, tables, obs, inputs) with in-support random data + missingness.
 
     Continuous observations get ~20% MCAR cells; discrete observations stay
     fully observed (missing discrete cells are rejected by design)."""
     rng = np.random.default_rng(seed)
-    ast, ranges = capped_ast(name)
+    ast, ranges = capped_ast(name, cap)
     ext = {k: hi - lo + 1 for k, (lo, hi) in ranges.items()}
 
     def rows(*axes):
@@ -152,6 +154,22 @@ def test_fused_unrolled_agree_across_corpus():
         assert fused.site_names == unrolled.site_names, name
         rng = np.random.default_rng(99)
         for _ in range(50):
+            u = rng.uniform(-2, 2, fused.latent_dim)
+            lf, gf = fused.logdensity_and_grad(u)
+            lu, gu = unrolled.logdensity_and_grad(u)
+            assert lf == pytest.approx(lu, abs=1e-9), name
+            np.testing.assert_allclose(gf, gu, atol=1e-7,
+                                       err_msg=f"{name} gradients disagree")
+
+
+def test_fused_unrolled_agree_across_corpus_at_full_size():
+    for name in CORPUS:
+        fused, unrolled = [
+            pl.compile_model(*corpus_case(name, cap=None), mode=mode)
+            for mode in (pl.FUSED, pl.UNROLLED)]
+        assert fused.site_names == unrolled.site_names, name
+        rng = np.random.default_rng(17)
+        for _ in range(3):
             u = rng.uniform(-2, 2, fused.latent_dim)
             lf, gf = fused.logdensity_and_grad(u)
             lu, gu = unrolled.logdensity_and_grad(u)

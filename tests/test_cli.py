@@ -93,6 +93,19 @@ def test_sample_needs_observed_vars(model_file, tmp_path, capsys):
     assert "no observed variables" in capsys.readouterr().err
 
 
+def test_sample_rejects_infinite_cells(model_file, data_file, tmp_path,
+                                       capsys):
+    lines = open(data_file).read().splitlines()
+    lines[2] = "1,inf"
+    bad = tmp_path / "inf.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "draws.csv")
+    assert main(sample_args(model_file, str(bad), out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "y[1]" in err
+    assert not os.path.exists(out)
+
+
 def sample_args(model_file, data_file, out, seed=7):
     return ["sample", model_file, "--data", data_file, "-o", out,
             "--warmup", "150", "--samples", "100", "--chains", "2",

@@ -154,9 +154,12 @@ def test_fused_plan_is_one_tape_entry():
 @pytest.mark.parametrize("name,scatter", [("N", "np.bincount("),
                                            ("Exp", "c_")])
 def test_repeated_positions_scatter_with_counts(name, scatter):
-    # no lowering reads repeated positions yet (lookup-indexed statements
-    # become scalar sites), so build the source directly: x ~ name(...) at
-    # x[pos] for a latent positive vector x
+    # both scatter forms of a gather at repeated positions, on a source
+    # built directly: x ~ name(...) at x[pos] for a latent positive vector
+    # x. A vector adjoint scatters through np.bincount; a scalar one (Exp's
+    # partial in its value, -rate) through the counts. Lowering gathers at
+    # repeated positions only for parameters, whose adjoints are vectors:
+    # test_plan.py::test_modes_agree_on_lookup_model covers that case
     pos = np.array([0, 2, 2, 1, 0])
     src = codegen.Source(3)
     x = src.assemble(np.zeros(3), [(np.arange(3), src.latent(np.arange(3),
@@ -203,15 +206,20 @@ COUNTS = {
 def programs(draw):
     T = draw(hs.integers(4, 8))
     K = draw(hs.integers(2, 3))
-    lags = draw(hs.integers(1, 2))
+    lags = draw(hs.integers(1, 3))
     scale = draw(hs.sampled_from(["HalfNormal(1)", "Exp(2)", "Gamma(2, 2)"]))
-    lagged = " + ".join(["r * y[t-1]", "0.5 * r * y[t-2]"][:lags])
+    lagged = " + ".join(["r * y[t-1]", "0.5 * r * y[t-2]",
+                         "0.25 * r * y[t-3]"][:lags])
     noise = draw(hs.sampled_from(["s", "exp(0.5 * mu) * s", "sqrt(s)"]))
     series = draw(hs.sampled_from(sorted(SERIES)))
     counts = draw(hs.sampled_from(sorted(COUNTS)))
-    # a lookup turns the t axis GENERAL (scalar sites); without one, y is a
-    # vectorized recurrence
-    lookup = draw(hs.booleans())
+    # an optional lookup e[grp[t]] enters y[t]'s mean through the
+    # deterministic m[t], directly, or both; it stays out of lagged
+    # deterministics, which UNROLLED cannot order on a GENERAL axis
+    in_m, in_mean = draw(hs.sampled_from(
+        [(False, False), (True, False), (False, True), (True, True)]))
+    lookup = in_m or in_mean
+    mean = lagged + " + m[t]" + (" + e[grp[t]]" if in_mean else "")
     lines = ["ProgramName: Gen",
              f"Indices: k 0 {K - 1}, t 0 {T - 1}"]
     lines += ["Inputs: grp"] if lookup else []
@@ -220,8 +228,8 @@ def programs(draw):
              f"s ~ {scale}",
              "e[k] ~ N(0, s)"]
     lines += [f"y[{t}] ~ N(mu, 1)" for t in range(lags)]
-    lines += ["m[t] = mu + e[grp[t]]" if lookup else "m[t] = mu * r",
-              f"y[t] ~ N({lagged} + m[t], {noise})",
+    lines += ["m[t] = mu + e[grp[t]]" if in_m else "m[t] = mu * r",
+              f"y[t] ~ N({mean}, {noise})",
               f"w[t] ~ {series}",
               f"z[t] ~ {counts}"]
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
@@ -248,3 +256,4 @@ def test_generated_programs_agree_across_modes(case):
     assert_modes_agree(fused, unrolled, points)
     assert fused.observed_loglik(points[0]) == pytest.approx(
         unrolled.observed_loglik(points[0]), rel=1e-12, abs=1e-9)
+    assert_matches_central_differences(fused, points[0])

@@ -1,5 +1,6 @@
 """Lowered log-density plans: layout, oracle values, and mode equivalence."""
 
+import itertools
 import math
 
 import numpy as np
@@ -58,9 +59,7 @@ def test_iid_block_value_and_structure():
     assert plan.latent_dim == 5
     assert plan.logdensity(np.zeros(5)) == pytest.approx(
         5 * st.norm.logpdf(0.0), abs=1e-12)
-    blocks = [b for b in plan.blocks if isinstance(b, pl.IIDBlock)]
-    assert len(blocks) == 1
-    assert blocks[0].extent == 5 and blocks[0].variable == "x"
+    assert plan.blocks == []
 
 
 def test_missing_cells_become_latent_slots():
@@ -85,15 +84,18 @@ def test_fully_observed_data_leaves_only_parameters():
 
 def test_fused_plan_emits_scan_for_recurrences():
     plan = pl.compile_model(AR1_SMALL, tables=(ar1_table(),), obs=("y",))
-    kinds = [type(b).__name__ for b in plan.blocks]
-    assert kinds == ["ScalarSite", "ScalarSite", "ScalarSite", "ScalarSite",
-                     "ScanBlock"]
-    scan = plan.blocks[-1]
-    assert scan.index == "t"
-    assert scan.steps == 59
-    assert scan.members == ("y",)
-    assert scan.carry == {"y": 1}
-    assert scan.replication_extent == 1
+    # the recurrence is one vectorized term; only unindexed statements and
+    # the base case are one-site terms
+    assert [b.name for b in plan.blocks] == ["a", "b", "sigma", "y[0]"]
+    assert all(isinstance(b, pl.ScalarSite) for b in plan.blocks)
+    u = np.array([0.5, 0.1, -0.3])
+    a, b, sigma = 0.5, 0.1, math.exp(-0.3)
+    y = ar1_table().column("y")
+    want = (st.norm.logpdf([a, b], 0, 10).sum()
+            + st.halfnorm.logpdf(sigma, scale=10) - 0.3
+            + st.norm.logpdf(y[0], 0, 10)
+            + st.norm.logpdf(y[1:], a * y[:-1] + b, sigma).sum())
+    assert plan.logdensity(u) == pytest.approx(want, rel=1e-12)
 
 
 def test_dbn_scan_covers_all_member_chains():
@@ -106,13 +108,16 @@ def test_dbn_scan_covers_all_member_chains():
         else:
             decl.hi = 2
     plan = pl.compile_model(ast)
-    scans = [b for b in plan.blocks if isinstance(b, pl.ScanBlock)]
-    assert len(scans) == 1
-    # within-slice order: A waits on P's current value, the rest tie on name
-    assert scans[0].members == ("C", "EM", "IM", "P", "A")
-    assert scans[0].replication_axes == ("n",)
-    assert scans[0].replication_extent == 3
-    assert scans[0].steps == 7
+    schedule = pl.site_schedule(plan.graph, plan.structure)
+    for t in range(1, 8):
+        sites = [(node.variable, key) for node, key in schedule
+                 if key and key[-1] == t]
+        # within-slice order: A waits on P's current value, the rest tie on
+        # name; every chain n of a member precedes the next member
+        assert [v for v, _ in sites] == [
+            v for v in ("C", "EM", "IM", "P", "A") for _ in range(3)]
+        assert [key[0] for _, key in sites] == [0, 1, 2] * 5
+    assert len(schedule) == len(plan.bindings)
 
 
 def modes_agree(source, tables=(), obs=(), inputs=None, n_points=20, seed=0):
@@ -126,6 +131,7 @@ def modes_agree(source, tables=(), obs=(), inputs=None, n_points=20, seed=0):
         lu, gu = unrolled.logdensity_and_grad(u)
         assert lf == pytest.approx(lu, abs=1e-9)
         np.testing.assert_allclose(gf, gu, atol=1e-7)
+    return fused
 
 
 def test_modes_agree_on_ar1_with_missing_data():
@@ -146,7 +152,59 @@ S[i] ~ BinomialLogits(D[i], a[tank[i]])
     table = make_table(("i",), [[i] for i in range(10)],
                        {"tank": tank.astype(float), "D": D.astype(float),
                         "S": S})
-    modes_agree(src, tables=(table,), obs=("S",))
+    fused = modes_agree(src, tables=(table,), obs=("S",))
+    # ten rows over four tanks repeat positions of a: one gather, whose
+    # adjoint scatters through np.bincount
+    assert fused.blocks == []
+    assert "np.bincount(" in fused._program.source
+
+
+# statements that read per-unit parameters or deterministics with several
+# governing statements; each is one vectorized term, so the only one-site
+# terms are the unindexed parameters
+VECTORIZED = {
+    "hierarchical_recurrence": ("""ProgramName: Panel
+Indices: n 0 2, t 0 3
+s ~ HalfNormal(1)
+mu[n] ~ N(0, 1)
+y[n,0] ~ N(0, 1)
+y[n,t] ~ N(mu[n] + 0.5 * y[n,t-1], s)
+""", {"n": 3, "t": 4}, ["s"]),
+    "per_unit_iid": ("""ProgramName: PerUnit
+Indices: n 0 2, t 0 3
+s ~ HalfNormal(1)
+mu[n] ~ N(0, 1)
+y[n,t] ~ N(mu[n], s)
+""", {"n": 3, "t": 4}, ["s"]),
+    "two_governor_deterministic": ("""ProgramName: TwoGovernors
+Indices: t 0 4
+mu ~ N(0, 1)
+r ~ N(0, 1)
+s ~ HalfNormal(1)
+m[0] = mu
+m[t] = r * mu + 1
+y[t] ~ N(m[t], s)
+""", {"t": 5}, ["mu", "r", "s"]),
+    "deterministic_recurrence": ("""ProgramName: DetRecurrence
+Indices: t 0 6
+s ~ HalfNormal(1)
+x[t] ~ N(0, 1)
+m[0] = x[0]
+m[t] = 0.5 * m[t-1] + x[t]
+y[t] ~ N(m[t], s)
+""", {"t": 7}, ["s"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTORIZED))
+def test_modes_agree_on_vectorized_statements(name):
+    src, extents, scalar_sites = VECTORIZED[name]
+    rows = list(itertools.product(*(range(e) for e in extents.values())))
+    y = np.random.default_rng(4).normal(size=len(rows))
+    y[[1, len(rows) - 2]] = np.nan
+    table = make_table(tuple(extents), rows, {"y": y})
+    fused = modes_agree(src, tables=(table,), obs=("y",))
+    assert [b.name for b in fused.blocks] == scalar_sites
 
 
 def test_gradient_matches_finite_differences():
@@ -271,6 +329,25 @@ def test_observing_deterministic_or_unknown_vars_fails():
         pl.compile_model(EXAMPLE1, tables=(table,), obs=("qq",))
     with pytest.raises(BindError, match="no supplied table"):
         pl.compile_model(EXAMPLE1, tables=(table,), obs=("x",))
+
+
+@pytest.mark.parametrize("cell", [math.inf, -math.inf])
+def test_infinite_data_cells_are_rejected_at_bind(cell):
+    table = ar1_table()
+    table.columns["y"][1] = cell
+    with pytest.raises(BindError, match=r"y\[1\]"):
+        pl.compile_model(AR1_SMALL, tables=(table,), obs=("y",))
+    src = """ProgramName: M
+Indices: i 0 3
+Inputs: x
+a ~ N(0, 1)
+y[i] ~ N(a * x[i], 1)
+"""
+    x = np.array([0.5, 1.0, cell, 2.0])
+    table = make_table(("i",), [[i] for i in range(4)],
+                       {"x": x, "y": np.zeros(4)})
+    with pytest.raises(BindError, match=r"x\[2\]"):
+        pl.compile_model(src, tables=(table,), obs=("y",))
 
 
 def test_latent_vector_shape_and_nan_checks():
