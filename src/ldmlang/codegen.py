@@ -1,11 +1,13 @@
-"""Source-to-source reverse mode for FUSED plans.
+"""Source-to-source reverse mode: the one gradient engine of both plan modes.
 
-FUSED lowering describes a plan's log density to a `Source`: the assembly of
-the model-variable arrays from the latent vector, then one log-density term
-per statement. The `Source` writes straight-line NumPy statements for the
-forward pass and keeps, for every statement that depends on the latent
-vector, how to send its adjoint back to its operands. `build` emits three
-Python functions from that source, compiled once on first use:
+Lowering describes a plan's log density to a `Source`. FUSED lowering writes
+the assembly of the model-variable arrays from the latent vector, then one
+vectorized log-density term per statement; UNROLLED lowering writes one
+scalar latent read per slot, one named value per deterministic cell and one
+scalar term per stochastic cell. The `Source` writes straight-line NumPy
+statements for the forward pass and keeps, for every statement that depends
+on the latent vector, how to send its adjoint back to its operands. `build`
+emits three Python functions from that source, compiled once on first use:
 
   * value(u)            log density;
   * value_and_grad(u)   log density and gradient; a value that is NaN or
@@ -25,7 +27,9 @@ data only as float literals.
 Derivatives come from closed-form rules: one per arithmetic operator and
 call, one per transform, and one per distribution in
 `distributions.TABLE`, giving the elementwise log density and its partial
-with respect to each argument.
+with respect to each argument. The tests check the rules against central
+differences and each distribution's value against its NumPy kernel in
+`distributions`.
 """
 
 from __future__ import annotations
@@ -376,30 +380,43 @@ class Source:
     def build(self) -> "Program":
         rev = self._backward()
         fwd = "".join(f"    {line}\n" for line in self.lines)
-        total = " + ".join(self.parts) or "0.0"
-        observed = " + ".join(self.obs_parts) or "0.0"
+        total = _sum(self.parts)
+        observed = _sum(self.obs_parts)
         back = "".join(f"    {line}\n" for line in rev)
         zeros = f"np.zeros({self.dim})"
         text = (
-            f"def value(u):\n{fwd}"
-            f"    lp = {total}\n"
+            f"def value(u):\n{fwd}{total}"
             "    return float(lp) if lp == lp else -inf\n\n"
-            f"def value_and_grad(u):\n{fwd}"
-            f"    lp = {total}\n"
+            f"def value_and_grad(u):\n{fwd}{total}"
             "    if not -inf < lp < inf:\n"
             f"        return (float(lp) if lp == lp else -inf), {zeros}\n"
             f"    g = {zeros}\n{back}"
             "    return float(lp), g\n\n"
-            f"def observed(u):\n{fwd}"
-            f"    lp = {observed}\n"
+            f"def observed(u):\n{fwd}{observed}"
             "    return float(lp) if lp == lp else -inf\n")
         return Program(text, self.ns)
 
 
+_SUM_LINE = 64
+
+
+def _sum(parts) -> str:
+    """Statements that add `parts` into lp, left to right, at most
+    _SUM_LINE parts per line: compiling a chain of `+` recurses once per
+    operand, so one line for the thousands of terms of a per-cell plan
+    would exceed the recursion limit. Python adds left to right either
+    way, so the split rounds exactly as one line does."""
+    lines = [f"    lp = {' + '.join(parts[:_SUM_LINE]) or '0.0'}\n"]
+    for i in range(_SUM_LINE, len(parts), _SUM_LINE):
+        lines.append(f"    lp = lp + {' + '.join(parts[i:i + _SUM_LINE])}\n")
+    return "".join(lines)
+
+
 class Program:
     """The generated functions `value`, `value_and_grad` and `observed` of
-    one FUSED plan. The source is compiled on first use, so a plan that
-    only simulates never pays for it."""
+    one plan. Each function is compiled on its first use, so a plan that
+    only simulates never pays for them, and compiling the long source of
+    a per-cell plan holds the syntax tree of one function at a time."""
 
     _FUNCTIONS = ("value", "value_and_grad", "observed")
 
@@ -410,10 +427,12 @@ class Program:
     def __getattr__(self, name):
         if name not in self._FUNCTIONS:
             raise AttributeError(name)
-        exec(compile(self.source, "<ldmlang FUSED plan>", "exec"), self._ns)
-        for f in self._FUNCTIONS:
-            setattr(self, f, self._ns[f])
-        return getattr(self, name)
+        start = self.source.index(f"def {name}(u):")
+        end = self.source.find("\n\ndef ", start)
+        text = self.source[start:] if end < 0 else self.source[start:end]
+        exec(compile(text, "<ldmlang plan>", "exec"), self._ns)
+        setattr(self, name, self._ns[name])
+        return self._ns[name]
 
 
 # --- rules -------------------------------------------------------------------

@@ -5,14 +5,14 @@ Conventions that differ between common libraries and matter here:
   * Exp(b): the parameter is the RATE (mean 1/b).
   * HalfNormal(s): s is the scale of the underlying normal.
 
-Log-prob kernels accept autodiff Nodes or plain floats/arrays and return
-elementwise log densities; UNROLLED plans and the public API evaluate them,
-while FUSED plans use the closed-form rules of `codegen.RULES`. Inside a
-compiled plan, parameter values that leave their constraint region (for
-example a real-support sigma crossing zero) give -inf so the sampler rejects
-instead of crashing; the strict public entry points (`log_prob`, `draw`)
-raise InvalidParameterError up front. Log mass/density at the exact boundary
-of a continuous support is -inf.
+Log-prob kernels are plain NumPy/SciPy and return elementwise log densities.
+The public API evaluates them; compiled plans of both modes run the
+closed-form rules of `codegen.RULES` instead, and the tests check each rule's
+value against its kernel. Inside a compiled plan, parameter values that leave
+their constraint region (for example a real-support sigma crossing zero)
+give -inf so the sampler rejects instead of crashing; the strict public
+entry points (`log_prob`, `draw`) raise InvalidParameterError up front. Log
+mass/density at the exact boundary of a continuous support is -inf.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit as _sp_expit, gammaln as _sp_gammaln, logit as _sp_logit
+from numpy import log, log1p, square, where
+from scipy.special import expit, gammaln, logit
 
-from . import autodiff as ad
-from .autodiff import expit, lgamma, log, log1p, softplus, square, where
 from .errors import InvalidParameterError, NoTransformError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -49,10 +48,6 @@ P_UNIT = "unit_interval"
 P_COUNT = "nonneg_integer"
 
 
-def _v(x):
-    return x.value if isinstance(x, ad.Node) else x
-
-
 def _is_integral(v) -> np.ndarray:
     v = np.asarray(v)
     return np.equal(np.floor(v), v) & np.isfinite(v)
@@ -61,7 +56,7 @@ def _is_integral(v) -> np.ndarray:
 # --- log-prob kernels ---------------------------------------------------------
 
 def _normal_lp(v, mu, sigma):
-    ok = np.greater(_v(sigma), 0.0)
+    ok = np.greater(sigma, 0.0)
     if np.all(ok):
         z = (v - mu) / sigma
         return -0.5 * square(z) - log(sigma) - 0.5 * _LOG_2PI
@@ -71,8 +66,8 @@ def _normal_lp(v, mu, sigma):
 
 
 def _exp_lp(v, rate):
-    ok = np.greater(_v(rate), 0.0) & np.greater_equal(_v(v), 0.0)
-    r = rate if np.all(np.greater(_v(rate), 0.0)) else where(np.greater(_v(rate), 0.0), rate, 1.0)
+    ok = np.greater(rate, 0.0) & np.greater_equal(v, 0.0)
+    r = rate if np.all(np.greater(rate, 0.0)) else where(np.greater(rate, 0.0), rate, 1.0)
     lp = log(r) - r * v
     if np.all(ok):
         return lp
@@ -80,8 +75,8 @@ def _exp_lp(v, rate):
 
 
 def _halfnormal_lp(v, scale):
-    ok = np.greater(_v(scale), 0.0) & np.greater_equal(_v(v), 0.0)
-    s = scale if np.all(np.greater(_v(scale), 0.0)) else where(np.greater(_v(scale), 0.0), scale, 1.0)
+    ok = np.greater(scale, 0.0) & np.greater_equal(v, 0.0)
+    s = scale if np.all(np.greater(scale, 0.0)) else where(np.greater(scale, 0.0), scale, 1.0)
     lp = _HALF_LOG_2_OVER_PI - log(s) - 0.5 * square(v / s)
     if np.all(ok):
         return lp
@@ -89,39 +84,39 @@ def _halfnormal_lp(v, scale):
 
 
 def _gamma_lp(v, shape, rate):
-    okp = np.greater(_v(shape), 0.0) & np.greater(_v(rate), 0.0)
-    okv = np.greater(_v(v), 0.0)
+    okp = np.greater(shape, 0.0) & np.greater(rate, 0.0)
+    okv = np.greater(v, 0.0)
     ok = okp & okv
     if np.all(ok):
         return (shape * log(rate) + (shape - 1.0) * log(v)
-                - rate * v - lgamma(shape))
-    sh = where(np.greater(_v(shape), 0.0), shape, 1.0)
-    r = where(np.greater(_v(rate), 0.0), rate, 1.0)
+                - rate * v - gammaln(shape))
+    sh = where(np.greater(shape, 0.0), shape, 1.0)
+    r = where(np.greater(rate, 0.0), rate, 1.0)
     vv = where(okv, v, 1.0)
-    lp = sh * log(r) + (sh - 1.0) * log(vv) - r * vv - lgamma(sh)
+    lp = sh * log(r) + (sh - 1.0) * log(vv) - r * vv - gammaln(sh)
     return where(ok, lp, _NEG_INF)
 
 
 def _beta_lp(v, a, b):
-    okp = np.greater(_v(a), 0.0) & np.greater(_v(b), 0.0)
-    okv = np.greater(_v(v), 0.0) & np.less(_v(v), 1.0)
+    okp = np.greater(a, 0.0) & np.greater(b, 0.0)
+    okv = np.greater(v, 0.0) & np.less(v, 1.0)
     ok = okp & okv
-    aa = a if np.all(np.greater(_v(a), 0.0)) else where(np.greater(_v(a), 0.0), a, 1.0)
-    bb = b if np.all(np.greater(_v(b), 0.0)) else where(np.greater(_v(b), 0.0), b, 1.0)
+    aa = a if np.all(np.greater(a, 0.0)) else where(np.greater(a, 0.0), a, 1.0)
+    bb = b if np.all(np.greater(b, 0.0)) else where(np.greater(b, 0.0), b, 1.0)
     vv = v if np.all(okv) else where(okv, v, 0.5)
     lp = ((aa - 1.0) * log(vv) + (bb - 1.0) * log1p(-vv)
-          - (lgamma(aa) + lgamma(bb) - lgamma(aa + bb)))
+          - (gammaln(aa) + gammaln(bb) - gammaln(aa + bb)))
     if np.all(ok):
         return lp
     return where(ok, lp, _NEG_INF)
 
 
 def _studentt_lp(v, df, loc, scale):
-    ok = np.greater(_v(df), 0.0) & np.greater(_v(scale), 0.0)
-    d = df if np.all(np.greater(_v(df), 0.0)) else where(np.greater(_v(df), 0.0), df, 1.0)
-    s = scale if np.all(np.greater(_v(scale), 0.0)) else where(np.greater(_v(scale), 0.0), scale, 1.0)
+    ok = np.greater(df, 0.0) & np.greater(scale, 0.0)
+    d = df if np.all(np.greater(df, 0.0)) else where(np.greater(df, 0.0), df, 1.0)
+    s = scale if np.all(np.greater(scale, 0.0)) else where(np.greater(scale, 0.0), scale, 1.0)
     z = (v - loc) / s
-    lp = (lgamma((d + 1.0) / 2.0) - lgamma(d / 2.0)
+    lp = (gammaln((d + 1.0) / 2.0) - gammaln(d / 2.0)
           - 0.5 * log(d * math.pi) - log(s)
           - ((d + 1.0) / 2.0) * log1p(square(z) / d))
     if np.all(ok):
@@ -130,8 +125,8 @@ def _studentt_lp(v, df, loc, scale):
 
 
 def _bernoulli_lp(v, p):
-    vv = np.asarray(_v(v))
-    pv = np.asarray(_v(p))
+    vv = np.asarray(v)
+    pv = np.asarray(p)
     okv = _is_integral(vv) & ((vv == 0) | (vv == 1))
     okp = (pv >= 0.0) & (pv <= 1.0)
     one = vv == 1
@@ -147,22 +142,22 @@ def _bernoulli_lp(v, p):
 
 
 def _bernoulli_logits_lp(v, logits):
-    vv = np.asarray(_v(v))
+    vv = np.asarray(v)
     okv = _is_integral(vv) & ((vv == 0) | (vv == 1))
-    lp = v * logits - softplus(logits)
+    lp = v * logits - np.logaddexp(0.0, logits)
     if np.all(okv):
         return lp
     return where(okv, lp, _NEG_INF)
 
 
 def _log_choose(n, v):
-    return lgamma(n + 1.0) - lgamma(v + 1.0) - lgamma(n - v + 1.0)
+    return gammaln(n + 1.0) - gammaln(v + 1.0) - gammaln(n - v + 1.0)
 
 
 def _binomial_lp(v, n, p):
-    vv = np.asarray(_v(v))
-    nv = np.asarray(_v(n))
-    pv = np.asarray(_v(p))
+    vv = np.asarray(v)
+    nv = np.asarray(n)
+    pv = np.asarray(p)
     okv = _is_integral(vv) & _is_integral(nv) & (vv >= 0) & (vv <= nv)
     okp = (pv >= 0.0) & (pv <= 1.0)
     p1 = where(pv > 0.0, p, 0.5)
@@ -178,22 +173,22 @@ def _binomial_lp(v, n, p):
 
 
 def _binomial_logits_lp(v, n, logits):
-    vv = np.asarray(_v(v))
-    nv = np.asarray(_v(n))
+    vv = np.asarray(v)
+    nv = np.asarray(n)
     okv = _is_integral(vv) & _is_integral(nv) & (vv >= 0) & (vv <= nv)
-    lp = _log_choose(n, v) + v * logits - n * softplus(logits)
+    lp = _log_choose(n, v) + v * logits - n * np.logaddexp(0.0, logits)
     if np.all(okv):
         return lp
     return where(okv, lp, _NEG_INF)
 
 
 def _poisson_lp(v, rate):
-    vv = np.asarray(_v(v))
+    vv = np.asarray(v)
     okv = _is_integral(vv) & (vv >= 0)
-    okr = np.greater(_v(rate), 0.0)
+    okr = np.greater(rate, 0.0)
     r = rate if np.all(okr) else where(okr, rate, 1.0)
     vsafe = np.where(okv, vv, 0.0)
-    lp = v * log(r) - r - _sp_gammaln(vsafe + 1.0)
+    lp = v * log(r) - r - gammaln(vsafe + 1.0)
     ok = okv & okr
     if np.all(ok):
         return lp
@@ -201,16 +196,16 @@ def _poisson_lp(v, rate):
 
 
 def _zip_lp(v, gate, rate):
-    vv = np.asarray(_v(v))
+    vv = np.asarray(v)
     okv = _is_integral(vv) & (vv >= 0)
-    gv = np.asarray(_v(gate))
-    okp = (gv >= 0.0) & (gv <= 1.0) & np.greater(_v(rate), 0.0)
-    r = rate if np.all(np.greater(_v(rate), 0.0)) else where(np.greater(_v(rate), 0.0), rate, 1.0)
+    gv = np.asarray(gate)
+    okp = (gv >= 0.0) & (gv <= 1.0) & np.greater(rate, 0.0)
+    r = rate if np.all(np.greater(rate, 0.0)) else where(np.greater(rate, 0.0), rate, 1.0)
     g = gate if np.all(okp) else where((gv >= 0.0) & (gv <= 1.0), gate, 0.5)
     # mass at zero mixes the gate with the Poisson zero probability
-    zero_mass = log(g + (1.0 - g) * ad.exp(-r))
+    zero_mass = log(g + (1.0 - g) * np.exp(-r))
     vsafe = np.where(okv, vv, 0.0)
-    pos_mass = log1p(-g) + v * log(r) - r - _sp_gammaln(vsafe + 1.0)
+    pos_mass = log1p(-g) + v * log(r) - r - gammaln(vsafe + 1.0)
     lp = where(vv == 0, zero_mass, pos_mass)
     ok = okv & okp
     if np.all(ok):
@@ -251,7 +246,7 @@ def _d_bernoulli(rng, p, size=None):
 
 
 def _d_bernoulli_logits(rng, logits, size=None):
-    return _d_bernoulli(rng, _sp_expit(logits), size)
+    return _d_bernoulli(rng, expit(logits), size)
 
 
 def _d_binomial(rng, n, p, size=None):
@@ -259,7 +254,7 @@ def _d_binomial(rng, n, p, size=None):
 
 
 def _d_binomial_logits(rng, n, logits, size=None):
-    return _d_binomial(rng, n, _sp_expit(logits), size)
+    return _d_binomial(rng, n, expit(logits), size)
 
 
 def _d_poisson(rng, rate, size=None):
@@ -333,7 +328,7 @@ def validate_params(spec: DistSpec, params) -> None:
         raise InvalidParameterError(
             f"{spec.name} takes {spec.arity} parameter(s), got {len(params)}")
     for (pname, kind), value in zip(spec.params, params):
-        v = np.asarray(_v(value), dtype=float)
+        v = np.asarray(value, dtype=float)
         if np.isnan(v).any():
             raise InvalidParameterError(f"{spec.name} parameter {pname!r} is NaN")
         if kind == P_POSITIVE and not np.all(v > 0.0):
@@ -374,21 +369,15 @@ class IdentityTransform:
     def unconstrain(self, v):
         return v
 
-    def log_jacobian(self, u):
-        return 0.0
-
 
 class ExpTransform:
     name = "exp"
 
     def constrain(self, u):
-        return ad.exp(u)
+        return np.exp(u)
 
     def unconstrain(self, v):
         return np.log(v)
-
-    def log_jacobian(self, u):
-        return u
 
 
 class LogisticTransform:
@@ -398,10 +387,7 @@ class LogisticTransform:
         return expit(u)
 
     def unconstrain(self, v):
-        return _sp_logit(np.clip(_v(v), 1e-12, 1.0 - 1e-12))
-
-    def log_jacobian(self, u):
-        return -softplus(u) - softplus(-u)
+        return logit(np.clip(v, 1e-12, 1.0 - 1e-12))
 
 
 _TRANSFORMS = {
@@ -412,7 +398,8 @@ _TRANSFORMS = {
 
 
 def transform_for(support: str):
-    """Bijection mapping the real line onto `support`, with log |Jacobian|."""
+    """Bijection mapping the real line onto `support`; its log |Jacobian|
+    is in `codegen.TRANSFORMS`."""
     t = _TRANSFORMS.get(support)
     if t is None:
         raise NoTransformError(

@@ -112,7 +112,7 @@ class MissingDiscreteUnsupportedError(BindError):
     """A discrete-support site would need a latent slot (NaN cell or unobserved)."""
 
 
-# --- autodiff ---------------------------------------------------------------
+# --- evaluation -------------------------------------------------------------
 
 class NonFiniteDensityError(LdmError):
     """NaN latent input reached the density evaluator."""

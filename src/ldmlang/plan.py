@@ -1,7 +1,8 @@
 """Bind data to a model graph and lower it to an executable log-density plan.
 
 Two lowering modes produce mathematically identical densities over the same
-latent vector:
+latent vector, and both become one generated value-and-gradient program
+(see codegen):
 
   * FUSED      - each stochastic statement becomes one term, vectorized over
                  its whole governed domain through precomputed flat-index
@@ -9,11 +10,12 @@ latent vector:
                  against shifted or looked-up positions (all values are known
                  when conditioning, so the time loop disappears from density
                  evaluation); deterministic statements are inlined into their
-                 consumers. The whole plan becomes one generated
-                 value-and-gradient function (see codegen).
-  * UNROLLED   - one scalar site per concrete instance, evaluated in ancestral
-                 order on the autodiff tape; deterministic instances stay as
-                 named intermediates. It is the reference semantics.
+                 consumers.
+  * UNROLLED   - one scalar term per concrete stochastic instance and one
+                 named value per deterministic instance, in topological
+                 order. It is the reference semantics: the tests check it
+                 against FUSED, against central differences and, rule by
+                 rule, against the NumPy kernels of `distributions`.
 
 The latent vector layout is shared by both modes: transformed parameters in
 statement topological order, then one slot per missing (imputed) cell in
@@ -28,6 +30,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit, logit
 
 from . import autodiff as ad
 from . import codegen
@@ -200,7 +203,7 @@ def bind(graph: ModelGraph, ranges: dict, obs_vars, tables=(),
         supplied = (inputs or {}).get(name)
         if supplied is not None:
             if np.ndim(supplied) == 0:
-                inp.scalar = float(supplied)
+                inp.scalar = _finite_input(name, (), float(supplied))
             else:
                 inp.array = np.asarray(supplied, dtype=float).ravel()
         else:
@@ -227,6 +230,12 @@ def bind(graph: ModelGraph, ranges: dict, obs_vars, tables=(),
                     var=name, axes=inp.axes, axis_values=vals,
                     strides=tuple(strides), size=want,
                     ord_maps=tuple({v: i for i, v in enumerate(vv)} for vv in vals))
+        if supplied is not None and inp.array is not None:
+            bad = np.flatnonzero(np.isinf(inp.array))
+            if bad.size:
+                i = int(bad[0])
+                _finite_input(name, (i,) if inp.layout is None
+                              else inp.layout.keys()[i], inp.array[i])
         if inp.resolved and name in lookup_inputs and inp.array is not None:
             if not np.all(inp.array == np.round(inp.array)):
                 raise BindError(f"input {name!r} is used as a lookup table "
@@ -416,8 +425,8 @@ class _UnresolvedInput(Exception):
 _BINOPS = {"+": operator.add, "-": operator.sub,
            "*": operator.mul, "/": operator.truediv}
 
-_CALLS = {"exp": ad.exp, "log": ad.log, "expit": ad.expit, "logit": ad.logit,
-          "sqrt": ad.sqrt, "abs": ad.absolute}
+_CALLS = {"exp": np.exp, "log": np.log, "expit": expit, "logit": logit,
+          "sqrt": np.sqrt, "abs": np.abs}
 
 
 class _Ctx:
@@ -471,13 +480,13 @@ def _input_positions(ctx: _Ctx, inp: _Input, idx_values):
     return pos
 
 
-def _flat_positions(ctx: _Ctx, var: str, terms, km):
-    """Flat grid position(s) of a variable reference; compile-time constant."""
+def _flat_positions(ctx: _Ctx, var: str, idx_values):
+    """Flat grid position(s) of a variable at the index values of a
+    reference (ints, or int arrays); compile-time constant."""
     layout = ctx.layouts[var]
     pos = 0
     vector = False
-    for p, term in enumerate(terms):
-        v = _term_value(ctx, term, km)
+    for p, v in enumerate(idx_values):
         if isinstance(v, np.ndarray):
             vector = True
             vals = np.asarray(v)
@@ -498,7 +507,7 @@ def _flat_positions(ctx: _Ctx, var: str, terms, km):
             if int(v) not in om:
                 raise UndefinedReferenceError(
                     f"{instance_name(var, (int(v),))} lies outside the "
-                    "declared range" if len(terms) == 1 else
+                    "declared range" if len(idx_values) == 1 else
                     f"reference to {var!r} at index {int(v)} lies outside "
                     "the declared range")
             pos = pos + om[int(v)] * layout.strides[p]
@@ -557,7 +566,8 @@ def _compile_ref(ctx: _Ctx, ref: VarRef, km):
         return lambda env: vals
     if not ref.indices:
         return lambda env: env.values[(name, 0)]
-    pos = _flat_positions(ctx, name, ref.indices, km)
+    pos = _flat_positions(ctx, name,
+                          [_term_value(ctx, t, km) for t in ref.indices])
     key = (name, int(pos))
     def read(env):
         try:
@@ -607,10 +617,14 @@ def _scan_entry_for(graph: ModelGraph, node: GraphNode, scans: dict):
 
 
 def site_schedule(graph: ModelGraph, report) -> list:
-    """Ancestral (node, key) order: scan members interleave slice by slice.
+    """Ancestral (node, key) order for prior simulation: scan members
+    interleave slice by slice.
 
     A scan group is emitted at its LAST member's topological position; every
     prerequisite of every member (base cases included) precedes that point.
+    A deterministic that reads a lag on an axis classified GENERAL is
+    emitted before the cells it reads, so prior simulation of such a model
+    raises UndefinedReferenceError.
     """
     scans = _scan_entries(report)
     order = topo_order(graph)
@@ -642,29 +656,52 @@ def site_schedule(graph: ModelGraph, report) -> list:
     return out
 
 
-class _FusedLowering:
-    """FUSED: the plan's log density as generated source (see codegen).
+class _Lowering:
+    """A plan's log density as generated source (see codegen).
 
-    The assembly comes first: each stochastic variable with latent cells
-    gets one flat array, observed values with the constrained latent slots
-    written in. Then each stochastic statement adds one term, vectorized
-    over its whole domain; a statement with no symbolic axis is the
-    one-site case and is recorded in `blocks` as a `ScalarSite`. All
-    positions are compile-time constants, so recurrences, lags and lookups
-    are all gathers. References to deterministic variables are inlined into
-    their consumers, each cell from the statement that governs it."""
+    FUSED (`statement`): the assembly comes first: each stochastic variable
+    with latent cells gets one flat array, observed values with the
+    constrained latent slots written in. Then each stochastic statement adds
+    one term, vectorized over its whole domain; a statement with no symbolic
+    axis is the one-site case and is recorded in `blocks` as a `ScalarSite`.
+    All positions are compile-time constants, so recurrences, lags and
+    lookups are all gathers. References to deterministic variables are
+    inlined into their consumers, each cell from the statement that governs
+    it; a deterministic variable that reads a deterministic at a lag is
+    built from its cells instead, one generated value per cell, so that a
+    recurrence needs no recursion.
 
-    def __init__(self, bound: BoundModel, slots):
+    UNROLLED (`cell`): each latent slot is one scalar read, each stochastic
+    cell adds one scalar term, and each deterministic cell is one generated
+    value. `cells` holds the values made so far, keyed by (variable, key),
+    so that each is made once."""
+
+    def __init__(self, bound: BoundModel, slots, mode: str):
         self.ctx = _Ctx(bound)
         self.src = codegen.Source(len(slots))
+        self.mode = mode
+        self.order = topo_order(bound.graph)
         self.blocks = []
+        self.cells = {}
+        if mode == UNROLLED:
+            for slot in slots:
+                self.cells[(slot.variable, slot.key)] = self.src.latent(
+                    slot.offset, slot.transform.name)
+            return
+        graph = bound.graph
+        deterministic = {n.variable for n in graph.nodes
+                         if n.kind == "deterministic"}
+        self.stepwise = {n.variable for n in graph.nodes
+                         if n.kind == "deterministic" and any(
+                             e.max_lag > 0 and e.target in deterministic
+                             for e in n.deps)}
+        self.filled = set()
         # var -> Val of a scalar variable, or (array Val | None, observed
         # base, latent-cell mask) of an indexed one
         self.values = {}
         by_var: dict[str, list] = {}
         for slot in slots:
             by_var.setdefault(slot.variable, []).append(slot)
-        graph = bound.graph
         for var, axes in graph.var_axes.items():
             if all(n.kind == "deterministic" for n in graph.by_var[var]):
                 continue
@@ -701,7 +738,7 @@ class _FusedLowering:
             self.values[var] = (arr, base, latent)
 
     def read(self, var: str, pos) -> codegen.Val:
-        """A stochastic variable at compile-time flat position(s)."""
+        """FUSED: a stochastic variable at compile-time flat position(s)."""
         v = self.values[var]
         if isinstance(v, codegen.Val):
             return v
@@ -712,8 +749,8 @@ class _FusedLowering:
                               np.where(latent[pos], np.nan, base[pos]))
 
     def expr(self, expr, km) -> codegen.Val:
-        """km maps axis names to index values: ints for a one-site
-        statement, int arrays for a vectorized one."""
+        """km maps axis names to index values: ints for one cell, int
+        arrays for a vectorized statement."""
         if isinstance(expr, Const):
             return self.src.const(expr.value)
         if isinstance(expr, BinOp):
@@ -739,27 +776,36 @@ class _FusedLowering:
             idx_values = [_term_value(ctx, t, km) for t in ref.indices]
             return self.src.const(
                 inp.array[_input_positions(ctx, inp, idx_values)])
+        idx_values = [_term_value(ctx, t, km) for t in ref.indices]
+        if self.mode == UNROLLED:
+            _flat_positions(ctx, name, idx_values)   # checks the range
+            return self.at(name, tuple(int(v) for v in idx_values))
         if any(n.kind == "deterministic" for n in ctx.graph.by_var[name]):
             if not ref.indices:
                 return self.expr(ctx.node_of[(name, ())].stmt.rhs, {})
-            return self.inline_deterministic(ref, km)
+            return self.inline_deterministic(name, idx_values)
         if not ref.indices:
             return self.values[name]
-        return self.read(name, _flat_positions(ctx, name, ref.indices, km))
+        return self.read(name, _flat_positions(ctx, name, idx_values))
 
-    def inline_deterministic(self, ref: VarRef, km) -> codegen.Val:
-        """Replace a reference to a deterministic variable by its
-        definition. A vectorized reference whose cells have several
-        governing statements inlines each one over its own rows and stacks
-        the pieces."""
-        ctx, var = self.ctx, ref.name
-        idx_values = [_term_value(ctx, t, km) for t in ref.indices]
+    def inline_deterministic(self, var: str, idx_values) -> codegen.Val:
+        """FUSED: a deterministic variable at index values `idx_values`
+        (ints, or int arrays) in place of the reference. A vectorized
+        reference whose cells have several governing statements inlines
+        each one over its own rows and stacks the pieces; a stepwise
+        variable stacks its cells."""
         if not any(isinstance(v, np.ndarray) for v in idx_values):
             key = tuple(int(v) for v in idx_values)
+            if var in self.stepwise:
+                return self.stepwise_cells(var, [key])[0]
             return self.governed(var, self._governor(var, key), key)
         n = max(np.asarray(v).size for v in idx_values
                 if isinstance(v, np.ndarray))
         cols = [np.broadcast_to(np.asarray(v), (n,)) for v in idx_values]
+        if var in self.stepwise:
+            keys = list(zip(*(c.tolist() for c in cols)))
+            return self.src.stack(n, list(enumerate(
+                self.stepwise_cells(var, keys))))
         rows_of: dict[int, tuple] = {}
         for i, key in enumerate(zip(*(c.tolist() for c in cols))):
             node = self._governor(var, key)
@@ -771,6 +817,19 @@ class _FusedLowering:
             return pieces[0][1]
         return self.src.stack(n, pieces)
 
+    def stepwise_cells(self, var: str, keys) -> list:
+        """FUSED: cells of a deterministic variable that reads a
+        deterministic at a lag. The first reference makes every cell, in
+        topological and then domain order, so each cell's lagged reads
+        find earlier cells already made."""
+        if var not in self.filled:
+            self.filled.add(var)
+            for node in self.order:
+                if node.variable == var and node.kind == "deterministic":
+                    for key in node.domain:
+                        self.at(var, key)
+        return [self.at(var, key) for key in keys]
+
     def _governor(self, var: str, key: tuple) -> GraphNode:
         node = self.ctx.node_of.get((var, key))
         if node is None:
@@ -778,22 +837,35 @@ class _FusedLowering:
                 f"{instance_name(var, key)} is not governed by any statement")
         return node
 
+    def at(self, var: str, key: tuple) -> codegen.Val:
+        """One cell of `var`, made once."""
+        v = self.cells.get((var, key))
+        if v is None:
+            v = self.governed(var, self._governor(var, key), key)
+            self.cells[(var, key)] = v
+        return v
+
     def governed(self, var: str, node: GraphNode, key) -> codegen.Val:
         """var at index values `key` (ints, or int arrays of one length),
         all governed by `node`."""
-        if node.kind != "deterministic":
-            # mixed stochastic/deterministic variable: read the array
-            layout = self.ctx.layouts[var]
-            if isinstance(key, tuple):
-                return self.read(var, layout.flat(key))
-            return self.read(var, np.asarray(
-                [layout.flat(k) for k in zip(*key)], dtype=np.int64))
-        return self.expr(node.stmt.rhs, {
-            axis: k for (kind, axis), k in zip(node.selector, key)
-            if kind == "sym"})
+        if node.kind == "deterministic":
+            return self.expr(node.stmt.rhs, {
+                axis: k for (kind, axis), k in zip(node.selector, key)
+                if kind == "sym"})
+        if self.mode == UNROLLED:
+            # a stochastic cell with no slot: observed, or a discrete
+            # latent of a simulate-only plan (NaN)
+            return self.src.const(self.ctx.bound.status[(var, key)][1])
+        # mixed stochastic/deterministic variable: read the array
+        layout = self.ctx.layouts[var]
+        if isinstance(key, tuple):
+            return self.read(var, layout.flat(key))
+        return self.read(var, np.asarray(
+            [layout.flat(k) for k in zip(*key)], dtype=np.int64))
 
     def statement(self, node: GraphNode) -> None:
-        """The term of one stochastic statement over its whole domain."""
+        """FUSED: the term of one stochastic statement over its whole
+        domain."""
         var, domain = node.variable, node.domain
         status = self.ctx.bound.status
         indexed = bool(self.ctx.graph.var_axes[var])
@@ -818,83 +890,35 @@ class _FusedLowering:
         v = self.read(var, pos) if indexed else self.values[var]
         self.src.term(node.stmt.dist.name, v, params, observed)
 
-
-def _lower_fused(bound: BoundModel, slots):
-    """Scalar sites, program, and the first input with no value or None; a
-    plan with an unresolved input never runs its program."""
-    lowering = _FusedLowering(bound, slots)
-    unresolved = None
-    for node in topo_order(bound.graph):
-        if node.kind == "stochastic" and node.domain:
-            try:
-                lowering.statement(node)
-            except _UnresolvedInput as e:
-                unresolved = unresolved or e.name
-    return lowering.blocks, lowering.src.build(), unresolved
-
-
-def _lower_unrolled(bound: BoundModel, slots, report):
-    ctx = _Ctx(bound)
-    schedule = site_schedule(bound.graph, report)
-    slot_of = {(s.variable, s.key): s for s in slots}
-    steps, obs_flags = [], []
-
-    for node, key in schedule:
-        var = node.variable
-        flat = bound.layouts[var].flat(key)
-        st, obs_val = bound.status[(var, key)]
-        name = instance_name(var, key)
+    def cell(self, node: GraphNode, key: tuple) -> None:
+        """UNROLLED: one cell of `node`'s domain. A deterministic cell is
+        made; a stochastic cell adds its term."""
+        v = self.at(node.variable, key)
         if node.kind == "deterministic":
-            try:
-                expr = _compile_expr(ctx, node.stmt.rhs,
-                                     _binding_for(node, key))
-            except _UnresolvedInput as e:
-                expr = _raiser(e.name)
-            def step(env, expr=expr, k=(var, flat)):
-                env.values[k] = expr(env)
-                return 0.0
-            steps.append(step)
-            obs_flags.append(False)
-            continue
-        spec = dist.lookup(node.stmt.dist.name)
-        try:
-            params = [_compile_expr(ctx, p, _binding_for(node, key))
-                      for p in node.stmt.dist.params]
-            bad = None
-        except _UnresolvedInput as e:
-            bad = _raiser(e.name)
-        logp = spec.logp
-        if st == OBSERVED:
-            v = float(obs_val)
-            if bad is not None:
-                step = bad
-            else:
-                def step(env, v=v, params=params, logp=logp, k=(var, flat)):
-                    env.values[k] = v
-                    return logp(v, *(p(env) for p in params))
-        elif st == LATENT_PARAM and spec.is_discrete:
-            step = _raiser(name)   # simulate-only plan; never evaluated
-        else:
-            slot = slot_of[(var, key)]
-            tr = slot.transform
-            off = slot.offset
-            identity = isinstance(tr, dist.IdentityTransform)
-            if bad is not None:
-                step = bad
-            else:
-                def step(env, off=off, tr=tr, identity=identity,
-                         params=params, logp=logp, k=(var, flat)):
-                    ui = ad.index(env.u, off)
-                    v = tr.constrain(ui)
-                    env.values[k] = v
-                    lp = logp(v, *(p(env) for p in params))
-                    if not identity:
-                        lp = lp + tr.log_jacobian(ui)
-                    return lp
-        steps.append(step)
-        obs_flags.append(st == OBSERVED)
+            return
+        km = _binding_for(node, key)
+        params = [self.expr(p, km) for p in node.stmt.dist.params]
+        st, _ = self.ctx.bound.status[(node.variable, key)]
+        self.src.term(node.stmt.dist.name, v, params, st == OBSERVED)
 
-    return steps, obs_flags
+
+def _lower(bound: BoundModel, slots, mode: str):
+    """One-site statements, program, and the first input with no value or
+    None; a plan with an unresolved input never runs its program. UNROLLED
+    visits cells in topological order and, inside a node, in domain
+    order."""
+    lowering = _Lowering(bound, slots, mode)
+    unresolved = None
+    for node in lowering.order:
+        try:
+            if mode == UNROLLED:
+                for key in node.domain:
+                    lowering.cell(node, key)
+            elif node.kind == "stochastic" and node.domain:
+                lowering.statement(node)
+        except _UnresolvedInput as e:
+            unresolved = unresolved or e.name
+    return lowering.blocks, lowering.src.build(), unresolved
 
 
 # --- the executable plan ---------------------------------------------------------------
@@ -904,7 +928,7 @@ class ExecutablePlan:
     """Compiled log-density program over an unconstrained latent vector."""
 
     def __init__(self, bound: BoundModel, slots, simulate_only, mode,
-                 blocks, report):
+                 blocks, report, program, unresolved):
         self.bound = bound
         self.graph = bound.graph
         self.ranges = bound.ranges
@@ -914,10 +938,8 @@ class ExecutablePlan:
         self.structure = report
         self.simulate_only = simulate_only
         self.bindings = bound.bindings
-        self._program = None            # FUSED: codegen.Program
-        self._unresolved = None         # FUSED: an input with no value
-        self._steps = []                # UNROLLED: per-site closures
-        self._obs_flags = []
+        self._program = program         # codegen.Program
+        self._unresolved = unresolved   # an input with no value, or None
         self._sim_program = None
         by_transform: dict[object, list] = {}
         for s in slots:
@@ -967,20 +989,14 @@ class ExecutablePlan:
             raise _unresolved_error(self._unresolved)
 
     def eval_logdensity(self, u):
-        """Core evaluation; u may be a raw vector or an autodiff Node. A
-        FUSED plan records one tape entry for the whole density, with the
+        """Core evaluation; u may be a raw vector or an `autodiff.Node`,
+        which records the whole density as one tape entry with the
         generated gradient as its partial."""
         self._check_evaluable()
-        if self.mode == FUSED:
-            if isinstance(u, ad.Node):
-                value, grad = self._program.value_and_grad(u.value)
-                return u.tape.elementwise(value, (u,), (grad,))
-            return self._program.value(u)
-        env = _Env(u)
-        total = 0.0
-        for s in self._steps:
-            total = total + s(env)
-        return total
+        if isinstance(u, ad.Node):
+            value, grad = self._program.value_and_grad(u.value)
+            return u.tape.elementwise(value, (u,), (grad,))
+        return self._program.value(u)
 
     def logdensity(self, u) -> float:
         u = np.asarray(u, dtype=float)
@@ -993,10 +1009,10 @@ class ExecutablePlan:
             return float(self.eval_logdensity(u))
 
     def logdensity_and_grad(self, u):
-        """Value and gradient at u; see `autodiff.grad_logdensity` for how
-        NaN and infinite values come back."""
-        if self.mode != FUSED:
-            return ad.grad_logdensity(self, u)
+        """Value and gradient at u. NaN anywhere in u raises
+        NonFiniteDensityError. A value of -inf, or NaN reported as -inf,
+        comes back with a zero gradient, and so does a point whose gradient
+        overflows; callers treat the point as rejected."""
         self._check_evaluable()
         u = np.asarray(u, dtype=float)
         if np.isnan(u).any():
@@ -1004,7 +1020,6 @@ class ExecutablePlan:
         with np.errstate(all="ignore"):
             value, grad = self._program.value_and_grad(u)
         if not np.isfinite(grad).all():
-            # overflow inside the adjoint: treat like a rejected point
             return -math.inf, np.zeros_like(u)
         return value, grad
 
@@ -1013,34 +1028,17 @@ class ExecutablePlan:
         self._check_evaluable()
         u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
-            if self.mode == FUSED:
-                return self._program.observed(u)
-            env = _Env(u)
-            total = 0.0
-            for s, is_obs in zip(self._steps, self._obs_flags):
-                lp = s(env)
-                if is_obs:
-                    total = total + lp
-            return float(total)
+            return self._program.observed(u)
 
 
 def lower(bound: BoundModel, mode: str = FUSED) -> ExecutablePlan:
+    if mode not in (FUSED, UNROLLED):
+        raise ValueError(f"unknown mode {mode!r}")
     report = detect_structure(bound.graph)
     slots, simulate_only = build_layout(bound)
-    if mode == FUSED:
-        blocks, program, unresolved = _lower_fused(bound, slots)
-        plan = ExecutablePlan(bound, slots, simulate_only, FUSED, blocks, report)
-        plan._program = program
-        plan._unresolved = unresolved
-    elif mode == UNROLLED:
-        steps, obs_flags = _lower_unrolled(bound, slots, report)
-        plan = ExecutablePlan(bound, slots, simulate_only, UNROLLED, [],
-                              report)
-        plan._steps = steps
-        plan._obs_flags = obs_flags
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return plan
+    blocks, program, unresolved = _lower(bound, slots, mode)
+    return ExecutablePlan(bound, slots, simulate_only, mode, blocks, report,
+                          program, unresolved)
 
 
 def compile_model(source, tables=(), obs=(), inputs=None,

@@ -183,27 +183,31 @@ def test_fused_unrolled_agree_across_corpus_at_full_size():
 def test_gradients_match_finite_differences_across_corpus():
     h = 1e-5
     for name in CORPUS:
-        ast, tables, obs, inputs = corpus_case(name)
-        plan = pl.compile_model(ast, tables, obs, inputs)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            u = rng.uniform(-2, 2, plan.latent_dim)
-            _, grad = plan.logdensity_and_grad(u)
-            # directional derivative along a random unit vector
-            d = rng.normal(size=plan.latent_dim)
-            d /= np.linalg.norm(d)
-            fd = (plan.logdensity(u + h * d) - plan.logdensity(u - h * d)) \
-                / (2 * h)
-            ad = float(grad @ d)
-            assert abs(ad - fd) / max(abs(fd), 1e-8) < 1e-4, name
-            # plus a few raw coordinates
-            for i in rng.choice(plan.latent_dim, size=min(3, plan.latent_dim),
-                                replace=False):
-                up, dn = u.copy(), u.copy()
-                up[i] += h
-                dn[i] -= h
-                fd_i = (plan.logdensity(up) - plan.logdensity(dn)) / (2 * h)
-                assert abs(grad[i] - fd_i) / max(abs(fd_i), 1e-8) < 1e-4, name
+        for mode in (pl.FUSED, pl.UNROLLED):
+            ast, tables, obs, inputs = corpus_case(name)
+            plan = pl.compile_model(ast, tables, obs, inputs, mode=mode)
+            rng = np.random.default_rng(7)
+            for _ in range(20):
+                u = rng.uniform(-2, 2, plan.latent_dim)
+                _, grad = plan.logdensity_and_grad(u)
+                # directional derivative along a random unit vector
+                d = rng.normal(size=plan.latent_dim)
+                d /= np.linalg.norm(d)
+                fd = (plan.logdensity(u + h * d)
+                      - plan.logdensity(u - h * d)) / (2 * h)
+                ad = float(grad @ d)
+                assert abs(ad - fd) / max(abs(fd), 1e-8) < 1e-4, (name, mode)
+                # plus a few raw coordinates
+                for i in rng.choice(plan.latent_dim,
+                                    size=min(3, plan.latent_dim),
+                                    replace=False):
+                    up, dn = u.copy(), u.copy()
+                    up[i] += h
+                    dn[i] -= h
+                    fd_i = (plan.logdensity(up)
+                            - plan.logdensity(dn)) / (2 * h)
+                    assert abs(grad[i] - fd_i) / max(abs(fd_i), 1e-8) \
+                        < 1e-4, (name, mode)
 
 
 # --- 4. conjugate oracle -----------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Generated FUSED value-and-gradient code against the UNROLLED tape.
+"""Generated value-and-gradient code: both modes, their oracles, and codegen.
 
-UNROLLED evaluates the distribution kernels one site at a time on the
-autodiff tape and is the reference; FUSED runs the code that
-`ldmlang.codegen` generates from closed-form rules.
+Both modes run code that `ldmlang.codegen` generates from closed-form
+rules: FUSED one vectorized term per statement, UNROLLED one scalar term
+per cell. Agreement between them checks the vectorized lowering against the
+per-cell one. The rules themselves are checked against oracles that share
+no code with them: each distribution's term value against its NumPy kernel
+in `ldmlang.distributions`, and the gradients of both modes against central
+differences.
 """
 
 import math
@@ -94,6 +98,39 @@ def test_rule_matches_unrolled_tape_and_differences(name, shape):
     points = [rng.uniform(-1.5, 1.5, fused.latent_dim) for _ in range(5)]
     assert_modes_agree(fused, unrolled, points)
     assert_matches_central_differences(fused, points[0])
+    assert_matches_central_differences(unrolled, points[0])
+
+
+@pytest.mark.parametrize("name", sorted(dist.TABLE))
+def test_rule_value_matches_numpy_kernel(name):
+    # one generated term over four cells, each parameter a latent vector
+    # under the transform of its constraint, against the NumPy kernel
+    spec = dist.TABLE[name]
+    rng = np.random.default_rng(sorted(dist.TABLE).index(name))
+    src = codegen.Source(4 * (spec.arity + 1))
+    u = rng.uniform(-1.5, 1.5, src.dim)
+    values = []      # per argument, its value in the term and in the kernel
+
+    def latent(support):
+        t = dist.transform_for(support)
+        offs = np.arange(4) + 4 * len(values)
+        values.append((src.latent(offs, t.name), t.constrain(u[offs])))
+
+    for _, kind in spec.params:
+        if kind == dist.P_COUNT:
+            values.append((src.const(5.0), 5.0))
+        else:
+            latent({dist.P_REAL: dist.REAL, dist.P_POSITIVE: dist.POSITIVE,
+                    dist.P_UNIT: dist.UNIT_INTERVAL}[kind])
+    if spec.is_discrete:
+        cells = np.array(CELLS[spec.support])
+        values.append((src.const(cells), cells))
+    else:
+        latent(spec.support)
+    (v, cells), params = values[-1], values[:-1]
+    src.term(name, v, [p for p, _ in params], True)
+    want = np.sum(spec.logp(cells, *(x for _, x in params)))
+    assert src.build().observed(u) == pytest.approx(want, rel=1e-12)
 
 
 def invalid_parameter_cases():
@@ -137,18 +174,24 @@ def test_observed_value_off_support_gives_minus_inf(name):
 
 
 def test_fused_plan_is_one_tape_entry():
+    # given an autodiff.Node, a plan of either mode records its whole
+    # density as one tape entry whose partial is the generated gradient;
+    # perfbench counts tape entries through this
     src = HEADER + "x[i] ~ N(a + m[i], exp(b))\n"
     table = make_table(("i",), [[i] for i in range(4)],
                        {"x": CELLS[dist.REAL]})
-    plan = pl.compile_model(src, tables=(table,), obs=("x",))
-    u = np.random.default_rng(0).uniform(-1, 1, plan.latent_dim)
-    tape = ad.Tape()
-    x = tape.input(u)
-    out = plan.eval_logdensity(x) * 2.0
-    assert len(tape.entries) == 3
-    value, grad = plan.logdensity_and_grad(u)
-    assert out.value == 2.0 * value
-    np.testing.assert_array_equal(tape.backward(out, x), 2.0 * grad)
+    for mode in (pl.FUSED, pl.UNROLLED):
+        plan = pl.compile_model(src, tables=(table,), obs=("x",), mode=mode)
+        u = np.random.default_rng(0).uniform(-1, 1, plan.latent_dim)
+        tape = ad.Tape()
+        x = tape.input(u)
+        out = plan.eval_logdensity(x)
+        assert len(tape.entries) == 2
+        value, grad = plan.logdensity_and_grad(u)
+        assert out.value == value
+        _, parents, partials = tape.entries[out.idx]
+        assert parents == (x.idx,)
+        np.testing.assert_array_equal(partials[0], grad)
 
 
 @pytest.mark.parametrize("name,scatter", [("N", "np.bincount("),
@@ -214,10 +257,12 @@ def programs(draw):
     series = draw(hs.sampled_from(sorted(SERIES)))
     counts = draw(hs.sampled_from(sorted(COUNTS)))
     # an optional lookup e[grp[t]] enters y[t]'s mean through the
-    # deterministic m[t], directly, or both; it stays out of lagged
-    # deterministics, which UNROLLED cannot order on a GENERAL axis
+    # deterministic m[t], directly, or both; m[t] may also read y[t-1]
     in_m, in_mean = draw(hs.sampled_from(
         [(False, False), (True, False), (False, True), (True, True)]))
+    m_rhs = "mu + e[grp[t]]" if in_m else "mu * r"
+    m_lines = draw(hs.sampled_from(
+        [[f"m[t] = {m_rhs}"], ["m[0] = mu", f"m[t] = r * y[t-1] + {m_rhs}"]]))
     lookup = in_m or in_mean
     mean = lagged + " + m[t]" + (" + e[grp[t]]" if in_mean else "")
     lines = ["ProgramName: Gen",
@@ -228,8 +273,8 @@ def programs(draw):
              f"s ~ {scale}",
              "e[k] ~ N(0, s)"]
     lines += [f"y[{t}] ~ N(mu, 1)" for t in range(lags)]
-    lines += ["m[t] = mu + e[grp[t]]" if in_m else "m[t] = mu * r",
-              f"y[t] ~ N({mean}, {noise})",
+    lines += m_lines
+    lines += [f"y[t] ~ N({mean}, {noise})",
               f"w[t] ~ {series}",
               f"z[t] ~ {counts}"]
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
@@ -257,3 +302,4 @@ def test_generated_programs_agree_across_modes(case):
     assert fused.observed_loglik(points[0]) == pytest.approx(
         unrolled.observed_loglik(points[0]), rel=1e-12, abs=1e-9)
     assert_matches_central_differences(fused, points[0])
+    assert_matches_central_differences(unrolled, points[0])

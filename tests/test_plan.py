@@ -207,19 +207,59 @@ def test_modes_agree_on_vectorized_statements(name):
     assert [b.name for b in fused.blocks] == scalar_sites
 
 
+def test_modes_agree_on_lagged_deterministic_over_general_axis():
+    # m[t] reads y[t-1] on an axis that the lookup makes GENERAL; UNROLLED
+    # makes each cell when it is first read, so no statement order is needed
+    src = """ProgramName: GeneralLag
+Indices: k 0 1, t 0 5
+Inputs: grp
+mu ~ N(0, 1)
+r ~ N(0, 0.5)
+s ~ HalfNormal(1)
+e[k] ~ N(0, s)
+m[0] = mu
+m[t] = r * y[t-1] + mu
+y[t] ~ N(m[t] + e[grp[t]], s)
+"""
+    y = np.random.default_rng(6).normal(size=6)
+    y[[2, 4]] = np.nan
+    table = make_table(("t",), [[t] for t in range(6)],
+                       {"y": y, "grp": [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]})
+    modes_agree(src, tables=(table,), obs=("y",))
+
+
+def deterministic_recurrence(T):
+    src = VECTORIZED["deterministic_recurrence"][0].replace(
+        "t 0 6", f"t 0 {T - 1}")
+    y = np.random.default_rng(8).normal(size=T)
+    y[::5] = np.nan
+    return src, (make_table(("t",), [[t] for t in range(T)], {"y": y}),)
+
+
+def test_deterministic_recurrence_compiles_at_length():
+    # FUSED builds m from its cells, one generated value per step: no
+    # recursion, and source that grows linearly in T
+    src, tables = deterministic_recurrence(300)
+    modes_agree(src, tables=tables, obs=("y",), n_points=3)
+    lines = {T: len(pl.compile_model(*deterministic_recurrence(T), ("y",))
+                    ._program.source.splitlines()) for T in (300, 600)}
+    assert lines[600] <= 2.1 * lines[300], lines
+
+
 def test_gradient_matches_finite_differences():
-    plan = pl.compile_model(AR1_SMALL, tables=(ar1_table(missing=[7]),),
-                            obs=("y",))
-    rng = np.random.default_rng(5)
-    u = rng.uniform(-1, 1, plan.latent_dim)
-    _, grad = plan.logdensity_and_grad(u)
-    h = 1e-6
-    for i in range(plan.latent_dim):
-        up, dn = u.copy(), u.copy()
-        up[i] += h
-        dn[i] -= h
-        fd = (plan.logdensity(up) - plan.logdensity(dn)) / (2 * h)
-        assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+    for mode in (pl.FUSED, pl.UNROLLED):
+        plan = pl.compile_model(AR1_SMALL, tables=(ar1_table(missing=[7]),),
+                                obs=("y",), mode=mode)
+        rng = np.random.default_rng(5)
+        u = rng.uniform(-1, 1, plan.latent_dim)
+        _, grad = plan.logdensity_and_grad(u)
+        h = 1e-6
+        for i in range(plan.latent_dim):
+            up, dn = u.copy(), u.copy()
+            up[i] += h
+            dn[i] -= h
+            fd = (plan.logdensity(up) - plan.logdensity(dn)) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7), mode
 
 
 def test_constrain_round_trip():
@@ -348,6 +388,25 @@ y[i] ~ N(a * x[i], 1)
                        {"x": x, "y": np.zeros(4)})
     with pytest.raises(BindError, match=r"x\[2\]"):
         pl.compile_model(src, tables=(table,), obs=("y",))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_scalar_input_is_rejected_at_bind(value):
+    src = "ProgramName: M\nInputs: x\na ~ N(0, 1)\ny ~ N(a * x, 1)\n"
+    with pytest.raises(BindError, match=r"input x is -?inf"):
+        pl.compile_model(src, inputs={"x": value})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_array_input_is_rejected_at_bind(value):
+    src = """ProgramName: M
+Indices: i 0 3
+Inputs: x
+a ~ N(0, 1)
+y[i] ~ N(a * x[i], 1)
+"""
+    with pytest.raises(BindError, match=r"input x\[2\] is -?inf"):
+        pl.compile_model(src, inputs={"x": [0.5, 1.0, value, 2.0]})
 
 
 def test_latent_vector_shape_and_nan_checks():
