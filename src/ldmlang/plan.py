@@ -24,6 +24,7 @@ statement topological order, then one slot per missing (imputed) cell in
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import operator
@@ -1015,10 +1016,11 @@ class ExecutablePlan:
         overflows; callers treat the point as rejected."""
         self._check_evaluable()
         u = np.asarray(u, dtype=float)
-        if np.isnan(u).any():
-            raise NonFiniteDensityError("latent vector contains NaN")
         with np.errstate(all="ignore"):
             value, grad = self._program.value_and_grad(u)
+        # a NaN slot makes its own prior term, and so the value, non-finite
+        if not -math.inf < value < math.inf and np.isnan(u).any():
+            raise NonFiniteDensityError("latent vector contains NaN")
         if not np.isfinite(grad).all():
             return -math.inf, np.zeros_like(u)
         return value, grad
@@ -1036,7 +1038,15 @@ def lower(bound: BoundModel, mode: str = FUSED) -> ExecutablePlan:
         raise ValueError(f"unknown mode {mode!r}")
     report = detect_structure(bound.graph)
     slots, simulate_only = build_layout(bound)
-    blocks, program, unresolved = _lower(bound, slots, mode)
+    # lowering allocates hundreds of thousands of small objects that live
+    # until it ends; cyclic collections would walk them over and over
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        blocks, program, unresolved = _lower(bound, slots, mode)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return ExecutablePlan(bound, slots, simulate_only, mode, blocks, report,
                           program, unresolved)
 

@@ -7,6 +7,13 @@ adapts by dual averaging toward a target acceptance statistic; a diagonal
 inverse mass matrix adapts over growing warmup windows from the posterior
 variance estimate. Generalized U-turn checks use the accumulated momentum sum
 with the extra cross-subtree boundary checks.
+
+Each doubling is built iteratively, leaf by leaf, with one checkpoint per
+tree level (the pending left sibling: its end momenta and velocities,
+momentum sum, log weight, proposal and acceptance sum), as in NumPyro's
+iterative NUTS. Merges run in the post-order of recursive doubling, so the
+RNG calls and the floating-point operations, and hence the draws for a
+seed, are those of the recursive formulation.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import numpy as np
 from .errors import AllDivergentError, InitializationFailedError, SamplerError
 
 _DIVERGENCE_THRESHOLD = 1000.0
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -63,83 +71,91 @@ def leapfrog(grad_fn, u, p, eps, inv_mass, g=None):
 
 def _kinetic(p, inv_mass) -> float:
     # huge momenta from step-size probing overflow to inf, which is a valid
-    # "reject" signal rather than an error
-    with np.errstate(over="ignore"):
-        return 0.5 * float(np.dot(p * p, inv_mass))
+    # "reject" signal rather than an error: callers run under
+    # np.errstate(over="ignore")
+    return 0.5 * float((p * p).dot(inv_mass))
 
 
-def _uturn(p_first, p_last, rho, inv_mass) -> bool:
-    """Trajectory termination: either end's velocity opposes the net motion."""
-    return (float(np.dot(inv_mass * p_first, rho)) <= 0.0
-            or float(np.dot(inv_mass * p_last, rho)) <= 0.0)
+def _logaddexp(x: float, y: float) -> float:
+    """np.logaddexp of two floats, rounded the same: the scalar branches of
+    NumPy's npy_logaddexp, without the cost of a ufunc call."""
+    if x == y:
+        return x + _LOG2            # also infinities of one sign
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d                        # NaN
 
 
-@dataclass(slots=True)
-class _Tree:
-    # integration-order boundary states
-    u_end: np.ndarray
-    p_end: np.ndarray
-    g_end: np.ndarray
-    v_end: float
-    p_beg: np.ndarray
-    rho: np.ndarray
-    log_sum_w: float
-    prop_u: np.ndarray
-    prop_v: float
-    prop_g: np.ndarray
-    alpha_sum: float
-    n_alpha: int
-    n_leapfrog: int
-    divergent: bool
-    turned: bool
-
-    @property
-    def invalid(self) -> bool:
-        return self.divergent or self.turned
+def _turned(w_first, w_last, rho) -> bool:
+    """Either end's velocity (inv_mass * p) opposes the net motion rho."""
+    return w_first.dot(rho) <= 0.0 or w_last.dot(rho) <= 0.0
 
 
-def _build_tree(rng, grad_fn, depth, direction, u, p, g, h0, eps, inv_mass):
-    if depth == 0:
-        u1, p1, v1, g1 = leapfrog(grad_fn, u, p, direction * eps, inv_mass, g)
-        k1 = _kinetic(p1, inv_mass)
-        h1 = -v1 + k1 if math.isfinite(v1) else math.inf
-        dh = h0 - h1
-        divergent = not math.isfinite(h1) or (h1 - h0) > _DIVERGENCE_THRESHOLD
-        alpha = math.exp(min(0.0, dh)) if math.isfinite(dh) else 0.0
-        return _Tree(u_end=u1, p_end=p1, g_end=g1, v_end=v1, p_beg=p1,
-                     rho=p1.copy(), log_sum_w=dh if math.isfinite(dh) else -math.inf,
-                     prop_u=u1, prop_v=v1, prop_g=g1,
-                     alpha_sum=alpha, n_alpha=1, n_leapfrog=1,
-                     divergent=divergent, turned=False)
-    first = _build_tree(rng, grad_fn, depth - 1, direction, u, p, g, h0,
-                        eps, inv_mass)
-    if first.invalid:
-        return first
-    second = _build_tree(rng, grad_fn, depth - 1, direction,
-                         first.u_end, first.p_end, first.g_end, h0,
-                         eps, inv_mass)
-    first.alpha_sum += second.alpha_sum
-    first.n_alpha += second.n_alpha
-    first.n_leapfrog += second.n_leapfrog
-    if second.invalid:
-        first.divergent = second.divergent
-        first.turned = second.turned
-        return first
-    # progressive within-subtree sampling: weight-proportional
-    comb = np.logaddexp(first.log_sum_w, second.log_sum_w)
-    if math.log(max(rng.random(), 1e-300)) < second.log_sum_w - comb:
-        first.prop_u, first.prop_v, first.prop_g = \
-            second.prop_u, second.prop_v, second.prop_g
-    turned = (
-        _uturn(first.p_beg, second.p_end, first.rho + second.rho, inv_mass)
-        or _uturn(first.p_beg, first.p_end, first.rho + second.p_beg, inv_mass)
-        or _uturn(second.p_beg, second.p_end, first.p_end + second.rho, inv_mass))
-    first.log_sum_w = comb
-    first.rho = first.rho + second.rho
-    first.u_end, first.p_end, first.g_end, first.v_end = \
-        second.u_end, second.p_end, second.g_end, second.v_end
-    first.turned = turned
-    return first
+# A trajectory piece is the tuple (p_beg, w_beg, p_end, w_end, rho,
+# log_sum_w, proposal, alpha_sum): its first and last momenta and velocities
+# in integration order, its momentum sum, the log of its summed weights
+# exp(H0 - H), its proposal (u, v, g) and its summed acceptance statistics.
+
+
+def _join(left, right):
+    """Momentum sum of two adjacent pieces (left first in integration order)
+    and whether the joined piece turns: generalized U-turn checks on the
+    whole, and on each piece extended by the nearest state of the other."""
+    # states a, b (left's ends) and c, d (right's ends) in trajectory order
+    p_a, w_a, p_b, w_b, rho_l = left[:5]
+    p_c, w_c, _, w_d, rho_r = right[:5]
+    rho = rho_l + rho_r
+    return rho, (_turned(w_a, w_d, rho)
+                 or _turned(w_a, w_b, rho_l + p_c)
+                 or _turned(w_c, w_d, p_b + rho_r))
+
+
+def _subtree(rng, grad_fn, depth, step, u, p, g, h0, inv_mass):
+    """One doubling: 2**depth leapfrogs of `step` from (u, p, g).
+
+    The leaves are built in integration order. levels[k] holds the finished
+    left piece of 2**k leaves that waits for its right sibling; after leaf
+    i the new piece merges with levels[k] for each trailing 1-bit k of i.
+    That is the post-order of recursive doubling, so the RNG calls and the
+    float operations come in its order: alpha sums left + right in a
+    balanced tree, and a stop folds in the alpha of each pending left piece.
+
+    Returns (piece, alpha_sum, n_leapfrog, divergent, u_end, g_end); piece
+    is None when a leaf diverged or a merged piece turned."""
+    levels = [None] * (depth + 1)
+    for i in range(1 << depth):
+        u, p, v, g = leapfrog(grad_fn, u, p, step, inv_mass, g)
+        h = -v + _kinetic(p, inv_mass) if math.isfinite(v) else math.inf
+        dh = h0 - h
+        divergent = not math.isfinite(h) or (h - h0) > _DIVERGENCE_THRESHOLD
+        finite = math.isfinite(dh)
+        alpha = math.exp(min(0.0, dh)) if finite else 0.0
+        w = inv_mass * p
+        piece = (p, w, p, w, p, dh if finite else -math.inf, (u, v, g), alpha)
+        stop = divergent
+        k = 0
+        while not stop and i >> k & 1:
+            left = levels[k]
+            comb = _logaddexp(left[5], piece[5])
+            # progressive sampling within the subtree: weight-proportional;
+            # a NaN comparison keeps the left proposal
+            prop = (piece[6] if math.log(max(rng.random(), 1e-300))
+                    < piece[5] - comb else left[6])
+            rho, stop = _join(left, piece)
+            piece = (left[0], left[1], piece[2], piece[3], rho, comb, prop,
+                     left[7] + piece[7])
+            k += 1
+        if stop:
+            alpha = piece[7]
+            for j in range(k, depth):
+                if i >> j & 1:
+                    alpha = levels[j][7] + alpha
+            return None, alpha, i + 1, divergent, u, g
+        levels[k] = piece
+    return piece, piece[7], 1 << depth, False, u, g
 
 
 @dataclass(slots=True)
@@ -158,59 +174,58 @@ def nuts_draw(rng, grad_fn, u0, v0, g0, eps, inv_mass, max_depth):
     doubling always runs)."""
     dim = u0.shape[0]
     p0 = rng.standard_normal(dim) / np.sqrt(inv_mass)
-    h0 = -v0 + _kinetic(p0, inv_mass)
+    w0 = inv_mass * p0
 
     u_minus = u_plus = u0
     p_minus = p_plus = p0
+    w_minus = w_plus = w0
     g_minus = g_plus = g0
-    prop_u, prop_v, prop_g = u0, v0, g0
-    rho = p0.copy()
+    proposal = (u0, v0, g0)
+    rho = p0
     log_sum_w = 0.0
-    alpha_sum, n_alpha, n_leapfrog = 0.0, 0, 0
+    alpha_sum, n_leapfrog = 0.0, 0
     divergent = False
     depth = 0
 
-    while depth < max(1, max_depth):
-        direction = 1 if rng.random() < 0.5 else -1
-        if direction == 1:
-            sub = _build_tree(rng, grad_fn, depth, 1,
-                              u_plus, p_plus, g_plus, h0, eps, inv_mass)
-        else:
-            sub = _build_tree(rng, grad_fn, depth, -1,
-                              u_minus, p_minus, g_minus, h0, eps, inv_mass)
-        alpha_sum += sub.alpha_sum
-        n_alpha += sub.n_alpha
-        n_leapfrog += sub.n_leapfrog
-        if sub.invalid:
-            divergent = divergent or sub.divergent
-            break
-        # biased progressive merge at the root: favors the fresh subtree
-        if math.log(max(rng.random(), 1e-300)) < sub.log_sum_w - log_sum_w:
-            prop_u, prop_v, prop_g = sub.prop_u, sub.prop_v, sub.prop_g
-        # trajectory-ordered endpoints for the turn checks
-        if direction == 1:
-            left_first, left_last, left_rho = p_minus, p_plus, rho
-            right_first, right_last, right_rho = sub.p_beg, sub.p_end, sub.rho
-            u_plus, p_plus, g_plus = sub.u_end, sub.p_end, sub.g_end
-        else:
-            left_first, left_last, left_rho = sub.p_end, sub.p_beg, sub.rho
-            right_first, right_last, right_rho = p_minus, p_plus, rho
-            u_minus, p_minus, g_minus = sub.u_end, sub.p_end, sub.g_end
-        log_sum_w = float(np.logaddexp(log_sum_w, sub.log_sum_w))
-        rho = left_rho + right_rho
-        depth += 1
-        if (_uturn(left_first, right_last, rho, inv_mass)
-                or _uturn(left_first, left_last,
-                          left_rho + right_first, inv_mass)
-                or _uturn(right_first, right_last,
-                          left_last + right_rho, inv_mass)):
-            break
+    with np.errstate(over="ignore"):
+        h0 = -v0 + _kinetic(p0, inv_mass)
+        while depth < max(1, max_depth):
+            forward = rng.random() < 0.5
+            if forward:
+                sub, alpha, n, divergent, u_plus, g_plus = _subtree(
+                    rng, grad_fn, depth, eps, u_plus, p_plus, g_plus, h0,
+                    inv_mass)
+            else:
+                sub, alpha, n, divergent, u_minus, g_minus = _subtree(
+                    rng, grad_fn, depth, -eps, u_minus, p_minus, g_minus, h0,
+                    inv_mass)
+            alpha_sum += alpha
+            n_leapfrog += n
+            if sub is None:
+                break
+            p_beg, w_beg, p_end, w_end, sub_rho, sub_log_w, sub_prop, _ = sub
+            # biased progressive merge at the root: favors the fresh subtree
+            if math.log(max(rng.random(), 1e-300)) < sub_log_w - log_sum_w:
+                proposal = sub_prop
+            log_sum_w = _logaddexp(log_sum_w, sub_log_w)
+            depth += 1
+            traj = (p_minus, w_minus, p_plus, w_plus, rho)
+            if forward:
+                rho, turned = _join(traj, sub)
+                p_plus, w_plus = p_end, w_end
+            else:
+                # the subtree ran backward: its end comes first
+                rho, turned = _join((p_end, w_end, p_beg, w_beg, sub_rho),
+                                    traj)
+                p_minus, w_minus = p_end, w_end
+            if turned:
+                break
 
-    accept = alpha_sum / n_alpha if n_alpha else 0.0
+    accept = alpha_sum / n_leapfrog if n_leapfrog else 0.0
     stats = _TransitionStats(depth=depth, n_leapfrog=n_leapfrog,
                              divergent=divergent, accept_stat=accept,
                              energy=h0)
-    return prop_u, prop_v, prop_g, stats
+    return *proposal, stats
 
 
 # --- adaptation ------------------------------------------------------------------
@@ -222,22 +237,23 @@ def find_reasonable_epsilon(rng, grad_fn, u, v, g, inv_mass) -> float:
     eps = 1.0
     dim = u.shape[0]
     p = rng.standard_normal(dim) / np.sqrt(inv_mass)
-    h0 = -v + _kinetic(p, inv_mass)
 
     def log_ratio(e):
         _, p1, v1, _ = leapfrog(grad_fn, u, p, e, inv_mass, g)
         h1 = -v1 + _kinetic(p1, inv_mass) if math.isfinite(v1) else math.inf
         return h0 - h1
 
-    r = log_ratio(eps)
-    a = 1.0 if r > math.log(0.5) else -1.0
-    for _ in range(64):
-        if a * r <= -a * math.log(2.0):
-            break
-        eps *= 2.0 ** a
-        if eps > 1e7 or eps < 1e-10:
-            break
+    with np.errstate(over="ignore"):
+        h0 = -v + _kinetic(p, inv_mass)
         r = log_ratio(eps)
+        a = 1.0 if r > math.log(0.5) else -1.0
+        for _ in range(64):
+            if a * r <= -a * math.log(2.0):
+                break
+            eps *= 2.0 ** a
+            if eps > 1e7 or eps < 1e-10:
+                break
+            r = log_ratio(eps)
     return eps
 
 

@@ -415,3 +415,39 @@ def test_latent_vector_shape_and_nan_checks():
         plan.logdensity(np.zeros(3))
     with pytest.raises(NonFiniteDensityError):
         plan.logdensity(np.array([0.0, np.nan]))
+
+
+GUARDED = """ProgramName: Guarded
+Indices: i 0 3
+p ~ Beta(2, 2)
+z ~ N(0, 1)
+x[i] ~ Bernoulli(expit(z))
+"""
+
+
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+def test_logdensity_and_grad_rejects_nan_slots(mode):
+    plan = pl.compile_model(IID5, mode=mode)
+    with pytest.raises(NonFiniteDensityError):
+        plan.logdensity_and_grad(np.array([0.0, 0.0, np.nan, 0.0, 0.0]))
+    # NaN slots whose terms go through a support guard to -inf: the unit
+    # interval of a Beta, and a Bernoulli's expit parameter
+    table = make_table(("i",), [[i] for i in range(4)],
+                       {"x": [0.0, 1.0, 1.0, 0.0]})
+    plan = pl.compile_model(GUARDED, tables=(table,), obs=("x",), mode=mode)
+    assert plan.site_names == ["p", "z"]
+    assert math.isfinite(plan.logdensity_and_grad(np.zeros(2))[0])
+    for u in ([np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]):
+        with pytest.raises(NonFiniteDensityError):
+            plan.logdensity_and_grad(np.array(u))
+
+
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+def test_finite_point_off_the_support_is_minus_inf_with_zero_gradient(mode):
+    # no value of p explains x = 0.5 under a Bernoulli
+    src = "ProgramName: M\np ~ Beta(2, 2)\nx ~ Bernoulli(p)\n"
+    table = make_table((), [()], {"x": [0.5]})
+    plan = pl.compile_model(src, tables=(table,), obs=("x",), mode=mode)
+    value, grad = plan.logdensity_and_grad(np.array([0.3]))
+    assert value == -math.inf
+    assert grad.tolist() == [0.0]

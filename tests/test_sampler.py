@@ -1,15 +1,23 @@
 """NUTS engine: integrator properties, adaptation, and posterior accuracy."""
 
+import itertools
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ldmlang import analysis as an
 from ldmlang import plan as pl
 from ldmlang import sampler as smp
 from ldmlang.datatable import make_table
 from ldmlang.errors import (AllDivergentError, InitializationFailedError,
                             SamplerError)
+
+# the sampler handles overflow itself (huge momenta are a reject signal):
+# a floating-point warning reaching the caller is a bug
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 STD_NORMAL = "ProgramName: StdNormal\nx ~ N(0, 1)\n"
 
@@ -207,3 +215,258 @@ def test_rng_streams_are_independent():
     a2 = smp.RngStream(0).chain(0).standard_normal(4)
     assert not np.array_equal(a, b)
     np.testing.assert_array_equal(a, a2)
+
+
+# --- the iterative tree against the recursive one ------------------------------
+# The recursive multinomial NUTS that the iterative tree replaced, kept as the
+# reference: the same RNG calls and the same float operations in the same
+# order. `events` records which stopping paths a case took.
+
+
+def _ref_kinetic(p, inv_mass):
+    with np.errstate(over="ignore"):
+        return 0.5 * float(np.dot(p * p, inv_mass))
+
+
+def _ref_uturn(p_first, p_last, rho, inv_mass):
+    return (float(np.dot(inv_mass * p_first, rho)) <= 0.0
+            or float(np.dot(inv_mass * p_last, rho)) <= 0.0)
+
+
+def _ref_turned(checks, inv_mass, events, where):
+    """The generalized U-turn check on the whole, then the two extra checks
+    across the halves; records which one fired first."""
+    for k, (p_first, p_last, rho) in enumerate(checks):
+        if _ref_uturn(p_first, p_last, rho, inv_mass):
+            events.add(f"check {k} turns {where}")
+            return True
+    return False
+
+
+def _ref_build_tree(rng, grad_fn, depth, direction, u, p, g, h0, eps,
+                    inv_mass, events):
+    if depth == 0:
+        u1, p1, v1, g1 = smp.leapfrog(grad_fn, u, p, direction * eps,
+                                      inv_mass, g)
+        k1 = _ref_kinetic(p1, inv_mass)
+        h1 = -v1 + k1 if math.isfinite(v1) else math.inf
+        dh = h0 - h1
+        return SimpleNamespace(
+            u_end=u1, p_end=p1, g_end=g1, p_beg=p1, rho=p1.copy(),
+            log_sum_w=dh if math.isfinite(dh) else -math.inf,
+            prop=(u1, v1, g1),
+            alpha_sum=math.exp(min(0.0, dh)) if math.isfinite(dh) else 0.0,
+            n=1, turned=False,
+            divergent=not math.isfinite(h1) or (h1 - h0) > 1000.0)
+    first = _ref_build_tree(rng, grad_fn, depth - 1, direction, u, p, g, h0,
+                            eps, inv_mass, events)
+    if first.divergent or first.turned:
+        return first
+    second = _ref_build_tree(rng, grad_fn, depth - 1, direction, first.u_end,
+                             first.p_end, first.g_end, h0, eps, inv_mass,
+                             events)
+    first.alpha_sum += second.alpha_sum
+    first.n += second.n
+    if second.divergent or second.turned:
+        events.add("stop in a right subtree")
+        first.divergent, first.turned = second.divergent, second.turned
+        return first
+    comb = np.logaddexp(first.log_sum_w, second.log_sum_w)
+    if math.log(max(rng.random(), 1e-300)) < second.log_sum_w - comb:
+        first.prop = second.prop
+    rho = first.rho + second.rho
+    first.turned = _ref_turned(
+        [(first.p_beg, second.p_end, rho),
+         (first.p_beg, first.p_end, first.rho + second.p_beg),
+         (second.p_beg, second.p_end, first.p_end + second.rho)],
+        inv_mass, events, "in a subtree")
+    first.log_sum_w = comb
+    first.rho = rho
+    first.u_end, first.p_end, first.g_end = \
+        second.u_end, second.p_end, second.g_end
+    return first
+
+
+def _ref_nuts_draw(rng, grad_fn, u0, v0, g0, eps, inv_mass, max_depth,
+                   events):
+    p0 = rng.standard_normal(u0.shape[0]) / np.sqrt(inv_mass)
+    h0 = -v0 + _ref_kinetic(p0, inv_mass)
+    u_minus = u_plus = u0
+    p_minus = p_plus = p0
+    g_minus = g_plus = g0
+    prop, rho, log_sum_w = (u0, v0, g0), p0.copy(), 0.0
+    alpha_sum, n, divergent, depth = 0.0, 0, False, 0
+    while depth < max(1, max_depth):
+        direction = 1 if rng.random() < 0.5 else -1
+        if direction == 1:
+            sub = _ref_build_tree(rng, grad_fn, depth, 1, u_plus, p_plus,
+                                  g_plus, h0, eps, inv_mass, events)
+        else:
+            sub = _ref_build_tree(rng, grad_fn, depth, -1, u_minus, p_minus,
+                                  g_minus, h0, eps, inv_mass, events)
+        alpha_sum += sub.alpha_sum
+        n += sub.n
+        if sub.divergent or sub.turned:
+            divergent = sub.divergent
+            events.add("divergence" if divergent else "stop in a subtree")
+            break
+        if math.log(max(rng.random(), 1e-300)) < sub.log_sum_w - log_sum_w:
+            prop = sub.prop
+        if direction == 1:
+            lf, ll, lr = p_minus, p_plus, rho
+            rf, rl, rr = sub.p_beg, sub.p_end, sub.rho
+            u_plus, p_plus, g_plus = sub.u_end, sub.p_end, sub.g_end
+        else:
+            lf, ll, lr = sub.p_end, sub.p_beg, sub.rho
+            rf, rl, rr = p_minus, p_plus, rho
+            u_minus, p_minus, g_minus = sub.u_end, sub.p_end, sub.g_end
+        log_sum_w = float(np.logaddexp(log_sum_w, sub.log_sum_w))
+        rho = lr + rr
+        depth += 1
+        if _ref_turned([(lf, rl, rho), (lf, ll, lr + rf), (rf, rl, ll + rr)],
+                       inv_mass, events, "at the root"):
+            break
+    stats = (depth, n, divergent, alpha_sum / n, h0)
+    return prop, stats
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _gaussian(scales):
+    prec = 1.0 / scales ** 2
+
+    def grad_fn(u):
+        return -0.5 * float(u @ (prec * u)), -prec * u
+    return grad_fn
+
+
+def _boxed(grad_fn, half_width):
+    """-inf with a zero gradient outside the box, as a plan reports a point
+    off its support."""
+    def boxed(u):
+        if np.any(np.abs(u) > half_width):
+            return -math.inf, np.zeros_like(u)
+        return grad_fn(u)
+    return boxed
+
+
+def _assert_same_draw(seed, grad_fn, u0, eps, inv_mass, max_depth, events):
+    v0, g0 = grad_fn(u0)
+    rng_ref = np.random.default_rng(seed)
+    rng_new = np.random.default_rng(seed)
+    (u1, v1, g1), stats = _ref_nuts_draw(rng_ref, grad_fn, u0, v0, g0, eps,
+                                         inv_mass, max_depth, events)
+    u2, v2, g2, st = smp.nuts_draw(rng_new, grad_fn, u0, v0, g0, eps,
+                                   inv_mass, max_depth)
+    assert u1.tobytes() == u2.tobytes(), seed
+    assert _bits(v1) == _bits(v2), seed
+    assert g1.tobytes() == g2.tobytes(), seed
+    depth, n, divergent, accept, energy = stats
+    assert (st.depth, st.n_leapfrog, st.divergent) == (depth, n, divergent)
+    assert _bits(st.accept_stat) == _bits(accept), seed
+    assert _bits(st.energy) == _bits(energy), seed
+    assert rng_ref.random() == rng_new.random(), seed
+    return st
+
+
+def test_iterative_tree_matches_recursive_tree_bit_for_bit():
+    events = set()
+    depths = (0, 1, 3, 10)
+    for case in range(2000):
+        rng = np.random.default_rng([17, case])
+        dim = (2, 6, 20)[case % 3]
+        # anisotropy from nearly none to a factor of 20; the extra U-turn
+        # checks decide more often on the rounder targets
+        scales = np.exp(rng.uniform(-1.5, 1.5, dim) * rng.uniform(0.1, 1.0))
+        inv_mass = np.exp(rng.uniform(-0.5, 0.5, dim))
+        eps = math.exp(rng.uniform(math.log(0.05), math.log(2.0)))
+        u0 = rng.normal(size=dim) * scales
+        grad_fn = _gaussian(scales)
+        if case % 2:
+            # a divergent leaf wherever the trajectory leaves the box
+            u0 = np.clip(u0, -scales, scales)
+            grad_fn = _boxed(grad_fn, 1.5 * scales)
+        _assert_same_draw([case, 1], grad_fn, u0, eps, inv_mass,
+                          depths[case % 4] if case < 160 else 10, events)
+    assert events == {"divergence", "stop in a subtree",
+                      "stop in a right subtree"} | {
+        f"check {k} turns {where}" for k in range(3)
+        for where in ("in a subtree", "at the root")}
+
+
+def test_logaddexp_matches_numpy_bit_for_bit():
+    special = [0.0, -0.0, 1.0, -1.0, 1e-300, 36.0, -36.0, 709.0, -745.0,
+               1e308, -1e308, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(3)
+    pairs = list(itertools.product(special, repeat=2))
+    pairs += [(x, x) for x in rng.normal(0.0, 50.0, 200)]
+    pairs += list(zip(rng.normal(0.0, 5.0, 5000), rng.normal(0.0, 5.0, 5000)))
+    pairs += list(zip(rng.normal(0.0, 1e3, 5000), rng.normal(0.0, 1.0, 5000)))
+    for x, y in pairs:
+        x, y = float(x), float(y)
+        with np.errstate(all="ignore"):
+            want = float(np.logaddexp(x, y))
+        got = smp._logaddexp(x, y)
+        assert type(got) is float
+        assert _bits(got) == _bits(want), (x, y, got, want)
+
+
+def test_momentum_overflow_raises_no_warning():
+    # a gradient of about 1e300 on a density that stays finite everywhere:
+    # a leapfrog step sends the momenta to about 1e300 and their squares
+    # overflow, which rejects the step without a warning
+    def steep(u):
+        return 1e300 * float(np.sum(np.cos(u))), -1e300 * np.sin(u)
+
+    u0 = np.full(3, 0.5)
+    v0, g0 = steep(u0)
+    rng = np.random.default_rng(4)
+    eps = smp.find_reasonable_epsilon(rng, steep, u0, v0, g0, np.ones(3))
+    assert eps < 1e-9
+    st = _assert_same_draw(5, steep, u0, 1.0, np.ones(3), 10, set())
+    assert st.divergent and st.n_leapfrog == 1
+
+
+def test_imputed_ar1_cells_match_exact_gaussian_conditioning():
+    # with a, b and sigma fixed, the missing cells of an AR(1) are jointly
+    # Gaussian given the observed ones: y = m + A^-1 D z, so the precision
+    # is A' D^-2 A, and conditioning on the observed cells is exact
+    a, b, sigma, T = 0.8, 0.5, 1.0, 40
+    src = (f"ProgramName: AR1Fixed\nIndices: t 0 {T - 1}\n"
+           "Inputs: a, b, sigma\ny[0] ~ N(0, 10)\n"
+           "y[t] ~ N(a*y[t-1] + b, sigma)\n")
+    rng = np.random.default_rng(21)
+    y = np.empty(T)
+    y[0] = rng.normal(0.0, 10.0)
+    for t in range(1, T):
+        y[t] = a * y[t - 1] + b + rng.normal(0.0, sigma)
+    miss = np.array([0, 5, 6, 7, 18, 25, 31, 39])   # the ends and a run
+    obs = np.setdiff1d(np.arange(T), miss)
+    y_obs = y.copy()
+    y_obs[miss] = np.nan
+    table = make_table(("t",), [[t] for t in range(T)], {"y": y_obs})
+    plan = pl.compile_model(src, tables=(table,), obs=("y",),
+                            inputs={"a": a, "b": b, "sigma": sigma})
+    out = smp.run(plan, n_chains=2, n_warmup=300, n_samples=1000, seed=22)
+
+    m = np.empty(T)
+    m[0] = 0.0
+    for t in range(1, T):
+        m[t] = a * m[t - 1] + b
+    A = np.eye(T) - a * np.eye(T, k=-1)
+    prec = A.T @ np.diag(1.0 / np.r_[10.0, np.full(T - 1, sigma)] ** 2) @ A
+    cov = np.linalg.inv(prec[np.ix_(miss, miss)])
+    mean = m[miss] - cov @ prec[np.ix_(miss, obs)] @ (y[obs] - m[obs])
+
+    for k, t in enumerate(miss):
+        x = out.site(f"y[{t}]")
+        var = cov[k, k]
+        ess_mean = an.effective_sample_size(x)
+        z_mean = (x.mean() - mean[k]) / math.sqrt(var / ess_mean)
+        sq = (x - mean[k]) ** 2
+        ess_var = an.effective_sample_size(sq)
+        z_var = (sq.mean() - var) / (var * math.sqrt(2.0 / ess_var))
+        assert abs(z_mean) < 4.0, (t, x.mean(), mean[k], ess_mean)
+        assert abs(z_var) < 4.0, (t, sq.mean(), var, ess_var)
