@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import os
+import resource
 import sys
 import time
 
@@ -62,8 +63,18 @@ def _manifest_path(out_path: str) -> str:
     return os.path.splitext(out_path)[0] + ".manifest.json"
 
 
+def _peak_rss_mb() -> dict:
+    """Peak resident set size of this process and of the largest child it
+    has reaped (the sampler's chain workers), in MB."""
+    unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10  # bytes / KiB
+    return {who: resource.getrusage(which).ru_maxrss / unit
+            for who, which in (("process", resource.RUSAGE_SELF),
+                               ("workers", resource.RUSAGE_CHILDREN))}
+
+
 def _write_manifest(out_path: str, command: str, *, model=None, data=(),
-                    obs=(), config=None, mode=None, seed=None, phases=None):
+                    obs=(), config=None, mode=None, seed=None, phases=None,
+                    **extra):
     payload = {
         "tool": "ldm",
         "version": __version__,
@@ -75,6 +86,7 @@ def _write_manifest(out_path: str, command: str, *, model=None, data=(),
         "mode": mode,
         "seed": seed,
         "wall_clock_seconds": phases or {},
+        **extra,
         "output": out_path,
     }
     with open(_manifest_path(out_path), "w", encoding="utf-8") as fh:
@@ -192,7 +204,9 @@ def cmd_sample(args) -> int:
                             "target_accept": cfg.target_accept,
                             "max_tree_depth": cfg.max_tree_depth},
                     phases={"compile": t_compile,
-                            "sample": ds.sampling_time})
+                            "sample": ds.sampling_time},
+                    workers=ds.workers, gradients=ds.gradients,
+                    peak_rss_mb=_peak_rss_mb())
     n_div = int(ds.stats["divergent"].sum())
     print(f"wrote {args.out} ({cfg.n_chains} chains x {cfg.n_samples} draws, "
           f"{plan.latent_dim} sites, {n_div} divergent)")

@@ -1009,6 +1009,13 @@ class ExecutablePlan:
         with np.errstate(all="ignore"):
             return float(self.eval_logdensity(u))
 
+    def compile_gradient(self) -> None:
+        """Compile the generated value-and-gradient function now rather
+        than on its first call, so that processes forked afterwards share
+        it; raises what logdensity_and_grad would for an un-evaluable plan."""
+        self._check_evaluable()
+        self._program.value_and_grad    # codegen.Program compiles on access
+
     def logdensity_and_grad(self, u):
         """Value and gradient at u. NaN anywhere in u raises
         NonFiniteDensityError. A value of -inf, or NaN reported as -inf,

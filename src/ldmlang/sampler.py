@@ -14,14 +14,21 @@ momentum sum, log weight, proposal and acceptance sum), as in NumPyro's
 iterative NUTS. Merges run in the post-order of recursive doubling, so the
 RNG calls and the floating-point operations, and hence the draws for a
 seed, are those of the recursive formulation.
+
+Chains run in processes forked after the plan is compiled, one per CPU of
+the affinity mask; each chain draws from its own RNG stream, so the output
+for a seed does not depend on how many processes ran it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
+import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -231,9 +238,10 @@ def nuts_draw(rng, grad_fn, u0, v0, g0, eps, inv_mass, max_depth):
 # --- adaptation ------------------------------------------------------------------
 
 
-def find_reasonable_epsilon(rng, grad_fn, u, v, g, inv_mass) -> float:
+def find_reasonable_epsilon(rng, grad_fn, u, v, g,
+                            inv_mass) -> tuple[float, int]:
     """Double/halve the step size until one leapfrog step keeps about half
-    the density weight."""
+    the density weight. Returns (step size, gradient evaluations made)."""
     eps = 1.0
     dim = u.shape[0]
     p = rng.standard_normal(dim) / np.sqrt(inv_mass)
@@ -246,6 +254,7 @@ def find_reasonable_epsilon(rng, grad_fn, u, v, g, inv_mass) -> float:
     with np.errstate(over="ignore"):
         h0 = -v + _kinetic(p, inv_mass)
         r = log_ratio(eps)
+        n_grads = 1
         a = 1.0 if r > math.log(0.5) else -1.0
         for _ in range(64):
             if a * r <= -a * math.log(2.0):
@@ -254,7 +263,8 @@ def find_reasonable_epsilon(rng, grad_fn, u, v, g, inv_mass) -> float:
             if eps > 1e7 or eps < 1e-10:
                 break
             r = log_ratio(eps)
-    return eps
+            n_grads += 1
+    return eps, n_grads
 
 
 class _DualAverage:
@@ -340,6 +350,9 @@ class DrawSet:
     n_warmup: int
     seed: int
     sampling_time: float = 0.0
+    # gradient evaluations per chain: "warmup" / "sampling" -> list
+    gradients: dict = field(default_factory=dict)
+    workers: int = 1                   # processes that ran the chains
 
     @property
     def n_chains(self) -> int:
@@ -388,75 +401,204 @@ def check_all_divergent(divergent: np.ndarray) -> None:
             "unstable at this step size (check scales and priors)")
 
 
+_STATS = ("divergent", "accept_stat", "depth", "energy", "n_leapfrog",
+          "step_size")
+
+
+def _chain(plan, cfg, stream, chain, init_attempts):
+    """Warm up and sample one chain from its own RNG stream.
+
+    Returns (draws, stats, grads): the constrained draws (n_samples,
+    n_sites), the per-draw statistics (name -> (n_samples,) array) and the
+    gradient evaluations made in warmup (initialization attempts and step
+    size searches included) and in sampling."""
+    dim = plan.latent_dim
+    grad_fn = plan.logdensity_and_grad
+    rng = stream.chain(chain)
+    u = v = g = None
+    n_warmup = 0
+    for _ in range(init_attempts):
+        cand = rng.uniform(-2.0, 2.0, dim)
+        cv, cg = grad_fn(cand)
+        n_warmup += 1
+        if math.isfinite(cv) and np.all(np.isfinite(cg)):
+            u, v, g = cand, cv, cg
+            break
+    if u is None:
+        raise InitializationFailedError(
+            f"chain {chain}: no finite log density found in "
+            f"{init_attempts} initialization attempts")
+
+    inv_mass = np.ones(dim)
+    eps, n = find_reasonable_epsilon(rng, grad_fn, u, v, g, inv_mass)
+    n_warmup += n
+    da = _DualAverage(eps, target=cfg.target_accept)
+    windows = mass_windows(cfg.n_warmup)
+    window_idx = 0
+    welford = _Welford(dim)
+
+    for i in range(cfg.n_warmup):
+        u, v, g, st = nuts_draw(rng, grad_fn, u, v, g, eps,
+                                inv_mass, cfg.max_tree_depth)
+        n_warmup += st.n_leapfrog
+        eps = da.update(st.accept_stat)
+        if window_idx < len(windows):
+            w_start, w_end = windows[window_idx]
+            if w_start <= i < w_end:
+                welford.add(u)
+            if i == w_end - 1:
+                inv_mass = welford.variance()
+                welford = _Welford(dim)
+                window_idx += 1
+                eps, n = find_reasonable_epsilon(rng, grad_fn, u, v, g,
+                                                 inv_mass)
+                n_warmup += n
+                da = _DualAverage(eps, target=cfg.target_accept)
+    eps = da.adapted
+
+    draws = np.empty((cfg.n_samples, dim))
+    stats = {name: np.zeros(cfg.n_samples) for name in _STATS}
+    for i in range(cfg.n_samples):
+        u, v, g, st = nuts_draw(rng, grad_fn, u, v, g, eps,
+                                inv_mass, cfg.max_tree_depth)
+        draws[i] = plan.constrain(u)
+        stats["divergent"][i] = float(st.divergent)
+        stats["accept_stat"][i] = st.accept_stat
+        stats["depth"][i] = st.depth
+        stats["energy"][i] = st.energy
+        stats["n_leapfrog"][i] = st.n_leapfrog
+        stats["step_size"][i] = eps
+    return draws, stats, (n_warmup, int(stats["n_leapfrog"].sum()))
+
+
+# --- chains in worker processes ---------------------------------------------------
+
+
+def _worker_count(n_chains: int) -> int:
+    """Processes that run the chains: one per CPU this process may run on
+    (its affinity mask), at most one per chain; 1 where os.fork does not
+    exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_chains, cpus)
+
+
+def _run_some(chain_fn, chains, outcomes: dict) -> None:
+    """chain_fn(c) for each chain in turn, into outcomes[c] as (result,
+    None) or (None, exception); stops at the first failing chain."""
+    for c in chains:
+        try:
+            outcomes[c] = (chain_fn(c), None)
+        except Exception as e:
+            outcomes[c] = (None, e)
+            return
+
+
+def _worker(read_end: int, write_end: int, chain_fn, chains) -> None:
+    """Body of a forked worker: run its chains, write their pickled
+    outcomes to the pipe, and leave through os._exit, so that nothing the
+    parent set up (buffered output, atexit handlers, a test runner) runs
+    again."""
+    code = 1
+    try:
+        os.close(read_end)
+        outcomes = {}
+        _run_some(chain_fn, chains, outcomes)
+        data = pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(outcomes: dict, data: bytes, code: int, chains) -> None:
+    """Merge into outcomes what a worker sent before it exited with code
+    (negative: killed by that signal). A worker that died without sending
+    its outcomes counts as a SamplerError of its first chain."""
+    try:
+        if code == 0:
+            outcomes.update(pickle.loads(data))
+            return
+    except Exception:           # cut short: EOFError, UnpicklingError, ...
+        pass
+    how = (f"was killed by signal {-code}" if code < 0
+           else f"exited with status {code}")
+    outcomes[chains[0]] = (None, SamplerError(
+        f"the worker running chains {', '.join(map(str, chains))} {how} "
+        "before sending their draws"))
+
+
+def _map_chains(chain_fn, n_chains: int, n_workers: int) -> list:
+    """[chain_fn(c) for c in range(n_chains)], run by n_workers processes.
+
+    This process is worker 0 and runs chains 0, W, 2W, ...; worker k > 0 is
+    forked from it and runs chains k, k + W, ..., so it inherits everything
+    chain_fn reads. Once every worker is reaped, the lowest-numbered
+    failing chain raises its exception, as a loop over the chains would."""
+    outcomes = {}
+    pending = []                        # unreaped: (pid, read end, chains)
+    try:
+        for k in range(1, n_workers):
+            chains = range(k, n_chains, n_workers)
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(r, w, chain_fn, chains)
+            os.close(w)
+            pending.append((pid, open(r, "rb"), chains))
+        _run_some(chain_fn, range(0, n_chains, n_workers), outcomes)
+        while pending:
+            pid, fh, chains = pending[0]
+            data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del pending[0]
+            fh.close()
+            _receive(outcomes, data, os.waitstatus_to_exitcode(status),
+                     chains)
+    finally:
+        for pid, fh, _ in pending:      # interrupted: stop and reap the rest
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = []
+    for c in range(n_chains):
+        result, error = outcomes[c]
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
 def run(plan, config: SamplerConfig | None = None, *,
         init_attempts: int = 100, **overrides) -> DrawSet:
     """Sample the plan's posterior; returns constrained draws per chain.
 
     Keyword overrides (n_warmup, n_samples, n_chains, seed, target_accept,
-    max_tree_depth) update the config."""
+    max_tree_depth) update the config. The chains run in parallel, in
+    _worker_count(n_chains) processes (see _map_chains)."""
     cfg = replace(config or SamplerConfig(), **overrides)
-    dim = plan.latent_dim
-    if dim == 0:
+    if plan.latent_dim == 0:
         raise SamplerError("model has no latent sites to sample")
     stream = RngStream(cfg.seed)
     t_start = time.perf_counter()
+    plan.compile_gradient()             # before the workers fork
+    n_workers = _worker_count(cfg.n_chains)
+    results = _map_chains(
+        lambda c: _chain(plan, cfg, stream, c, init_attempts),
+        cfg.n_chains, n_workers)
 
-    all_draws = np.empty((cfg.n_chains, cfg.n_samples, dim))
-    stats = {name: np.zeros((cfg.n_chains, cfg.n_samples))
-             for name in ("divergent", "accept_stat", "depth", "energy",
-                          "n_leapfrog", "step_size")}
-    grad_fn = plan.logdensity_and_grad
-
-    for chain in range(cfg.n_chains):
-        rng = stream.chain(chain)
-        u = v = g = None
-        for _ in range(init_attempts):
-            cand = rng.uniform(-2.0, 2.0, dim)
-            cv, cg = grad_fn(cand)
-            if math.isfinite(cv) and np.all(np.isfinite(cg)):
-                u, v, g = cand, cv, cg
-                break
-        if u is None:
-            raise InitializationFailedError(
-                f"chain {chain}: no finite log density found in "
-                f"{init_attempts} initialization attempts")
-
-        inv_mass = np.ones(dim)
-        eps = find_reasonable_epsilon(rng, grad_fn, u, v, g, inv_mass)
-        da = _DualAverage(eps, target=cfg.target_accept)
-        windows = mass_windows(cfg.n_warmup)
-        window_idx = 0
-        welford = _Welford(dim)
-
-        for i in range(cfg.n_warmup):
-            u, v, g, st = nuts_draw(rng, grad_fn, u, v, g, eps,
-                                    inv_mass, cfg.max_tree_depth)
-            eps = da.update(st.accept_stat)
-            if window_idx < len(windows):
-                w_start, w_end = windows[window_idx]
-                if w_start <= i < w_end:
-                    welford.add(u)
-                if i == w_end - 1:
-                    inv_mass = welford.variance()
-                    welford = _Welford(dim)
-                    window_idx += 1
-                    eps = find_reasonable_epsilon(rng, grad_fn, u, v, g,
-                                                  inv_mass)
-                    da = _DualAverage(eps, target=cfg.target_accept)
-        eps = da.adapted
-
-        for i in range(cfg.n_samples):
-            u, v, g, st = nuts_draw(rng, grad_fn, u, v, g, eps,
-                                    inv_mass, cfg.max_tree_depth)
-            all_draws[chain, i] = plan.constrain(u)
-            stats["divergent"][chain, i] = float(st.divergent)
-            stats["accept_stat"][chain, i] = st.accept_stat
-            stats["depth"][chain, i] = st.depth
-            stats["energy"][chain, i] = st.energy
-            stats["n_leapfrog"][chain, i] = st.n_leapfrog
-            stats["step_size"][chain, i] = eps
-
+    stats = {name: np.stack([r[1][name] for r in results])
+             for name in _STATS}
     check_all_divergent(stats["divergent"])
-    return DrawSet(draws=all_draws, site_names=list(plan.site_names),
+    return DrawSet(draws=np.stack([r[0] for r in results]),
+                   site_names=list(plan.site_names),
                    stats=stats, n_warmup=cfg.n_warmup, seed=cfg.seed,
-                   sampling_time=time.perf_counter() - t_start)
+                   sampling_time=time.perf_counter() - t_start,
+                   gradients={"warmup": [r[2][0] for r in results],
+                              "sampling": [r[2][1] for r in results]},
+                   workers=n_workers)

@@ -1,13 +1,20 @@
-"""End-to-end CLI behavior through main(argv), no subprocesses."""
+"""End-to-end CLI behavior through main(argv); one test runs `ldm sample`
+in a subprocess to check what its chain workers leave behind."""
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ldmlang import cli, sampler
 from ldmlang.cli import main
 from ldmlang.datatable import read_table
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 AR1 = """ProgramName: Tiny
 Indices: t 0 19
@@ -146,6 +153,139 @@ def test_no_optimize_flag_selects_unrolled(model_file, data_file, tmp_path):
     assert main(args) == 0
     man = json.loads((tmp_path / "u.manifest.json").read_text())
     assert man["mode"] == "UNROLLED"
+
+
+def write_csv(path, index_names, rows, columns):
+    lines = [",".join(list(index_names) + list(columns))]
+    for i, row in enumerate(rows):
+        cells = [repr(float(v[i])) if np.isfinite(v[i]) else ""
+                 for v in columns.values()]
+        lines.append(",".join([str(x) for x in row] + cells))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def ar1_data(tmp_path):
+    """models/ar1.ldm's T=300 with 20% of the cells missing."""
+    rng = np.random.default_rng(3)
+    y = np.empty(300)
+    y[0] = 0.0
+    for t in range(1, 300):
+        y[t] = 0.6 * y[t - 1] + 0.3 + rng.normal()
+    y[rng.random(300) < 0.2] = np.nan
+    return write_csv(tmp_path / "ar1.csv", ["t"], [[t] for t in range(300)],
+                     {"y": y})
+
+
+def dbn_data(tmp_path):
+    """models/dbn_simplified.ldm's n=10, T=38 panel, 15% of each variable
+    but P missing."""
+    rng = np.random.default_rng(4)
+    cols = {}
+    for name in ("EM", "IM", "A", "C", "P"):
+        v = rng.normal(size=380)
+        if name != "P":
+            v[rng.random(380) < 0.15] = np.nan
+        cols[name] = v
+    rows = [[n, t] for n in range(10) for t in range(38)]
+    return write_csv(tmp_path / "dbn.csv", ["n", "t"], rows, cols)
+
+
+@pytest.mark.parametrize("model, data, chains, draws", [
+    ("ar1.ldm", ar1_data, 2, 40),
+    ("ar1.ldm", ar1_data, 3, 40),     # 2 workers deal the chains round-robin
+    ("ar1.ldm", ar1_data, 4, 40),
+    ("dbn_simplified.ldm", dbn_data, 2, 20),
+])
+def test_sample_output_does_not_depend_on_worker_count(
+        monkeypatch, tmp_path, model, data, chains, draws):
+    args = ["sample", str(ROOT / "models" / model), "--data", data(tmp_path),
+            "--chains", str(chains), "--warmup", str(2 * draws),
+            "--samples", str(draws), "--seed", "7"]
+    default = sampler._worker_count(chains)
+    outputs = []
+    for n_workers in sorted({1, default, 2}):
+        monkeypatch.setattr(sampler, "_worker_count",
+                            lambda n, w=n_workers: min(n, w))
+        out = tmp_path / f"w{n_workers}.csv"
+        assert main(args + ["-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert len(outputs) > 1
+    assert all(o == outputs[0] for o in outputs[1:])
+
+
+def test_manifest_records_workers_gradients_and_memory(
+        monkeypatch, model_file, data_file, tmp_path):
+    calls = [0]
+    compile_model = cli.compile_model
+
+    def counting(*args, **kwargs):
+        plan = compile_model(*args, **kwargs)
+        inner = plan.logdensity_and_grad
+
+        def counted(u):
+            calls[0] += 1
+            return inner(u)
+
+        plan.logdensity_and_grad = counted
+        return plan
+
+    monkeypatch.setattr(cli, "compile_model", counting)
+    monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: 1)
+    out = tmp_path / "draws.csv"
+    assert main(sample_args(model_file, data_file, str(out))) == 0
+    man = json.loads((tmp_path / "draws.manifest.json").read_text())
+    assert man["workers"] == 1
+    grads = man["gradients"]
+    assert len(grads["warmup"]) == len(grads["sampling"]) == 2
+    assert sum(grads["warmup"]) + sum(grads["sampling"]) == calls[0]
+    assert set(man["peak_rss_mb"]) == {"process", "workers"}
+    assert man["peak_rss_mb"]["process"] > 0
+
+    monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: 2)
+    assert main(sample_args(model_file, data_file, str(out))) == 0
+    man2 = json.loads((tmp_path / "draws.manifest.json").read_text())
+    assert man2["workers"] == 2
+    assert man2["gradients"] == grads
+    assert man2["peak_rss_mb"]["workers"] > 0
+
+
+WORKER_HYGIENE = """\
+import atexit, os, sys
+from ldmlang import sampler
+from ldmlang.cli import main
+sampler._worker_count = lambda n_chains: n_chains
+print("buffered before sampling")
+atexit.register(print, "atexit handler ran", flush=True)
+rc = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child process is left")
+except ChildProcessError:
+    pass
+sys.exit(rc)
+"""
+
+
+def test_chain_workers_leave_no_output_and_no_processes(model_file,
+                                                        data_file, tmp_path):
+    # stdout is a pipe, so the first line is still in the parent's buffer
+    # when the workers fork: a worker that flushed it, or ran the atexit
+    # handler, would print it again
+    out = tmp_path / "draws.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER_HYGIENE, "sample", model_file,
+         "--data", data_file, "--chains", "3", "--warmup", "50",
+         "--samples", "20", "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines == ["buffered before sampling",
+                     f"wrote {out} (3 chains x 20 draws, 3 sites, "
+                     f"{lines[1].split(', ')[-1]}",
+                     "atexit handler ran"], proc.stdout
 
 
 def test_summary_of_draws(model_file, data_file, tmp_path, capsys):

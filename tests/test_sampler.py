@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import signal
 import struct
+import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,7 +57,8 @@ def test_find_reasonable_epsilon_is_sane():
     rng = np.random.default_rng(2)
     u = np.zeros(2)
     v, g = std_normal_grad(u)
-    eps = smp.find_reasonable_epsilon(rng, std_normal_grad, u, v, g, np.ones(2))
+    eps, _ = smp.find_reasonable_epsilon(rng, std_normal_grad, u, v, g,
+                                         np.ones(2))
     # a standard normal is well behaved; anything near O(1) is acceptable
     assert 0.05 < eps < 10.0
 
@@ -423,7 +428,7 @@ def test_momentum_overflow_raises_no_warning():
     u0 = np.full(3, 0.5)
     v0, g0 = steep(u0)
     rng = np.random.default_rng(4)
-    eps = smp.find_reasonable_epsilon(rng, steep, u0, v0, g0, np.ones(3))
+    eps, _ = smp.find_reasonable_epsilon(rng, steep, u0, v0, g0, np.ones(3))
     assert eps < 1e-9
     st = _assert_same_draw(5, steep, u0, 1.0, np.ones(3), 10, set())
     assert st.divergent and st.n_leapfrog == 1
@@ -470,3 +475,209 @@ def test_imputed_ar1_cells_match_exact_gaussian_conditioning():
         z_var = (sq.mean() - var) / (var * math.sqrt(2.0 / ess_var))
         assert abs(z_mean) < 4.0, (t, x.mean(), mean[k], ess_mean)
         assert abs(z_var) < 4.0, (t, sq.mean(), var, ess_var)
+
+
+# --- chains in forked workers ---------------------------------------------------
+
+AR1_SMALL = ("ProgramName: AR1Small\nIndices: t 0 29\na ~ N(0, 1)\n"
+             "sigma ~ HalfNormal(1)\ny[0] ~ N(0, 1)\n"
+             "y[t] ~ N(a*y[t-1], sigma)\n")
+
+
+def ar1_small_plan():
+    y = np.random.default_rng(5).normal(size=30)
+    y[[3, 17, 18]] = np.nan
+    table = make_table(("t",), [[t] for t in range(30)], {"y": y})
+    return pl.compile_model(AR1_SMALL, tables=(table,), obs=("y",))
+
+
+@pytest.fixture()
+def deadline():
+    """Fail a test that waits more than a minute instead of hanging the
+    suite; forked workers do not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError("the sampler did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def array_bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def with_workers(monkeypatch, n_workers):
+    monkeypatch.setattr(smp, "_worker_count",
+                        lambda n_chains: min(n_chains, n_workers))
+
+
+@pytest.mark.parametrize("n_chains", [2, 3, 4])
+def test_draws_do_not_depend_on_worker_count(monkeypatch, deadline,
+                                             n_chains):
+    plan = ar1_small_plan()
+    runs = []
+    for n_workers in sorted({1, 2, n_chains}):  # 2 < n_chains: round-robin
+        with_workers(monkeypatch, n_workers)
+        runs.append(smp.run(plan, n_chains=n_chains, n_warmup=60,
+                            n_samples=40, seed=7))
+        assert_no_children()
+    first = runs[0]
+    assert first.workers == 1
+    for other in runs[1:]:
+        assert other.workers > 1
+        assert array_bits(other.draws) == array_bits(first.draws)
+        assert set(other.stats) == set(first.stats)
+        for name, values in first.stats.items():
+            assert array_bits(other.stats[name]) == array_bits(values), name
+        assert other.gradients == first.gradients
+
+
+def test_gradient_counts_match_counted_calls(monkeypatch):
+    with_workers(monkeypatch, 1)
+    plan = ar1_small_plan()
+    calls = []                          # gradient calls per chain, in order
+    inner = plan.logdensity_and_grad
+
+    def counted(u):
+        calls[-1] += 1
+        return inner(u)
+
+    chain = smp.RngStream.chain
+
+    def start(self, chain_id, purpose=0):
+        calls.append(0)
+        return chain(self, chain_id, purpose)
+
+    plan.logdensity_and_grad = counted
+    monkeypatch.setattr(smp.RngStream, "chain", start)
+    out = smp.run(plan, n_chains=3, n_warmup=60, n_samples=40, seed=8)
+    warmup, sampling = out.gradients["warmup"], out.gradients["sampling"]
+    assert sampling == [int(n) for n in out.stats["n_leapfrog"].sum(axis=1)]
+    assert [w + s for w, s in zip(warmup, sampling)] == calls
+    assert all(w > s for w, s in zip(warmup, sampling))
+
+
+def chains_failing_at_start(failing, n_chains=4):
+    """A seed at which exactly the chains in `failing` start in u > 0."""
+    for seed in range(1000):
+        starts = [smp.RngStream(seed).chain(c).uniform(-2.0, 2.0, 1)[0]
+                  for c in range(n_chains)]
+        if {c for c, x in enumerate(starts) if x > 0} == set(failing):
+            return seed
+    raise AssertionError(failing)
+
+
+def half_line_plan():
+    """A standard normal whose density is -inf for u > 0: with one
+    initialization attempt, a chain whose first candidate lands there
+    cannot start."""
+    plan = pl.compile_model(STD_NORMAL)
+    inner = plan.logdensity_and_grad
+
+    def grad(u):
+        return (-math.inf, np.zeros_like(u)) if u[0] > 0 else inner(u)
+
+    plan.logdensity_and_grad = grad
+    return plan
+
+
+def raised(plan, **cfg):
+    with pytest.raises(Exception) as info:
+        smp.run(plan, n_chains=4, n_warmup=20, n_samples=10,
+                init_attempts=1, **cfg)
+    assert_no_children()
+    return info.value
+
+
+@pytest.mark.parametrize("failing", [(1,), (2,), (1, 2), (0, 3), (2, 3)])
+def test_failing_chain_raises_what_the_sequential_run_raises(
+        monkeypatch, deadline, failing):
+    # one chain fails to initialize while the others are fine, or several
+    # fail: the lowest-numbered failing chain's error reaches the caller,
+    # whichever process ran it
+    plan = half_line_plan()
+    seed = chains_failing_at_start(failing)
+    with_workers(monkeypatch, 1)
+    want = raised(plan, seed=seed)
+    assert type(want) is InitializationFailedError
+    assert str(want).startswith(f"chain {failing[0]}:")
+    for n_workers in (2, 3, 4):
+        with_workers(monkeypatch, n_workers)
+        got = raised(plan, seed=seed)
+        assert (type(got), str(got)) == (type(want), str(want)), n_workers
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
+def test_any_exception_in_a_chain_reaches_the_caller(monkeypatch, deadline,
+                                                     n_workers):
+    # chain 2 warns (an error under this module's warning filter) and
+    # chain 3 raises: chain 2's RuntimeWarning comes back unchanged
+    chain = smp.RngStream.chain
+
+    def misbehave(self, chain_id, purpose=0):
+        if chain_id == 2:
+            warnings.warn("chain 2 misbehaved", RuntimeWarning)
+        if chain_id == 3:
+            raise ValueError("chain 3 misbehaved")
+        return chain(self, chain_id, purpose)
+
+    monkeypatch.setattr(smp.RngStream, "chain", misbehave)
+    with_workers(monkeypatch, n_workers)
+    got = raised(pl.compile_model(STD_NORMAL), seed=3)
+    assert type(got) is RuntimeWarning
+    assert str(got) == "chain 2 misbehaved"
+
+
+@pytest.mark.parametrize("how, message", [
+    ("kill", "was killed by signal 9"),
+    ("exit", "exited with status 0"),
+])
+def test_worker_that_dies_raises_sampler_error(monkeypatch, deadline, how,
+                                               message):
+    # the worker running chains 1 and 3 ends without sending anything;
+    # chain 2, run by this process, fails too but has the higher number
+    parent = os.getpid()
+    chain = smp.RngStream.chain
+
+    def die(self, chain_id, purpose=0):
+        if chain_id == 1 and os.getpid() != parent:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(0)
+        if chain_id == 2:
+            raise ValueError("chain 2 misbehaved")
+        return chain(self, chain_id, purpose)
+
+    monkeypatch.setattr(smp.RngStream, "chain", die)
+    with_workers(monkeypatch, 2)
+    got = raised(pl.compile_model(STD_NORMAL), seed=3)
+    assert type(got) is SamplerError
+    assert str(got) == (f"the worker running chains 1, 3 {message} before "
+                        "sending their draws")
+
+
+def test_interrupted_run_stops_and_reaps_its_workers(monkeypatch, deadline):
+    # Ctrl-C in this process while a worker is still busy with its chain
+    parent = os.getpid()
+
+    def interrupt(self, chain_id, purpose=0):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(smp.RngStream, "chain", interrupt)
+    with_workers(monkeypatch, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        smp.run(pl.compile_model(STD_NORMAL), n_chains=2, n_warmup=20,
+                n_samples=10, seed=3)
+    assert time.perf_counter() - t0 < 30
+    assert_no_children()
