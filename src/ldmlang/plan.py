@@ -20,6 +20,11 @@ latent vector, and both become one generated value-and-gradient program
 The latent vector layout is shared by both modes: transformed parameters in
 statement topological order, then one slot per missing (imputed) cell in
 (variable, index-tuple) lexicographic order.
+
+Prior simulation (`prior_simulate`) walks cells as UNROLLED does: statements
+in topological order, each statement's cells in domain order, each cell made
+once as an array over the draws, and a cell read before its turn drawn on
+demand.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from .frontend.nodes import (
 from .frontend.parser import parse_program
 from .frontend.validate import validate
 from .graph import (
-    DBN_BLOCK, RECURRENCE, GraphNode, ModelGraph, assign_domains,
-    build_graph, detect_structure, instance_name, resolve_indices, topo_order,
+    GraphNode, ModelGraph, assign_domains, build_graph, instance_name,
+    resolve_indices, topo_order,
 )
 
 FUSED = "FUSED"
@@ -415,11 +420,16 @@ class ScalarSite:
     dist: str | None
 
 
-# --- expression compilation -----------------------------------------------------------
+# --- cells and index terms ------------------------------------------------------------
 
 
-class _UnresolvedInput(Exception):
+class _UnresolvedInput(UndefinedReferenceError):
+    """A read of an input with no value. `_lower` catches it and leaves the
+    plan un-evaluable; everywhere else it reaches the caller."""
+
     def __init__(self, name):
+        super().__init__(f"input {name!r} has no value; supply a data table "
+                         "containing it or pass inputs={...}")
         self.name = name
 
 
@@ -427,21 +437,10 @@ _BINOPS = {"+": operator.add, "-": operator.sub,
            "*": operator.mul, "/": operator.truediv}
 
 _CALLS = {"exp": np.exp, "log": np.log, "expit": expit, "logit": logit,
-          "sqrt": np.sqrt, "abs": np.abs}
+          "sqrt": np.sqrt, "abs": np.abs, "pow": operator.pow}
 
 
-class _Ctx:
-    __slots__ = ("bound", "graph", "layouts", "inputs", "node_of")
-
-    def __init__(self, bound: BoundModel):
-        self.bound = bound
-        self.graph = bound.graph
-        self.layouts = bound.layouts
-        self.inputs = bound.inputs
-        self.node_of = bound.node_of
-
-
-def _term_value(ctx: _Ctx, term, km):
+def _term_value(bound: BoundModel, term, km):
     """Concrete index value(s) of one index term under the key map."""
     if isinstance(term, IndexVar):
         return km[term.name]
@@ -450,18 +449,18 @@ def _term_value(ctx: _Ctx, term, km):
     if isinstance(term, IntLiteral):
         return term.value
     if isinstance(term, ArrayLookup):
-        inp = ctx.inputs[term.input_name]
+        inp = bound.inputs[term.input_name]
         if not inp.resolved:
             raise _UnresolvedInput(term.input_name)
-        inner = _term_value(ctx, term.inner, km)
-        pos = _input_positions(ctx, inp, (inner,))
+        inner = _term_value(bound, term.inner, km)
+        pos = _input_positions(inp, (inner,))
         vals = inp.array[pos]
         out = np.asarray(np.round(vals), dtype=np.int64)
         return out if isinstance(pos, np.ndarray) else int(out)
     raise TypeError(term)
 
 
-def _input_positions(ctx: _Ctx, inp: _Input, idx_values):
+def _input_positions(inp: _Input, idx_values):
     pos = 0
     vector = any(isinstance(v, np.ndarray) for v in idx_values)
     for p, v in enumerate(idx_values):
@@ -481,10 +480,10 @@ def _input_positions(ctx: _Ctx, inp: _Input, idx_values):
     return pos
 
 
-def _flat_positions(ctx: _Ctx, var: str, idx_values):
+def _flat_positions(bound: BoundModel, var: str, idx_values):
     """Flat grid position(s) of a variable at the index values of a
     reference (ints, or int arrays); compile-time constant."""
-    layout = ctx.layouts[var]
+    layout = bound.layouts[var]
     pos = 0
     vector = False
     for p, v in enumerate(idx_values):
@@ -517,144 +516,22 @@ def _flat_positions(ctx: _Ctx, var: str, idx_values):
     return pos
 
 
-def _compile_expr(ctx: _Ctx, expr, km):
-    """Compile an expression to a closure over the runtime environment of
-    one concrete instance; km maps axis names to its index values."""
-    if isinstance(expr, Const):
-        v = expr.value
-        return lambda env: v
-    if isinstance(expr, BinOp):
-        lf = _compile_expr(ctx, expr.left, km)
-        rf = _compile_expr(ctx, expr.right, km)
-        op = _BINOPS[expr.op]
-        return lambda env: op(lf(env), rf(env))
-    if isinstance(expr, Call):
-        if expr.fn == "pow":
-            bf = _compile_expr(ctx, expr.args[0], km)
-            ef = _compile_expr(ctx, expr.args[1], km)
-            return lambda env: bf(env) ** ef(env)
-        fn = _CALLS[expr.fn]
-        af = _compile_expr(ctx, expr.args[0], km)
-        return lambda env: fn(af(env))
-    if isinstance(expr, Ref):
-        return _compile_ref(ctx, expr.ref, km)
-    raise TypeError(expr)
+def _binding_for(node: GraphNode, key):
+    """Axis name -> index value(s) of `node` at `key` (one key, or one
+    column of index values per selector position)."""
+    return {axis: k for (kind, axis), k in zip(node.selector, key)
+            if kind == "sym"}
 
 
-def _unresolved_error(name) -> UndefinedReferenceError:
-    return UndefinedReferenceError(
-        f"input {name!r} has no value; supply a data table containing it "
-        "or pass inputs={...}")
-
-
-def _raiser(name):
-    def fail(env):
-        raise _unresolved_error(name)
-    return fail
-
-
-def _compile_ref(ctx: _Ctx, ref: VarRef, km):
-    name = ref.name
-    if name in ctx.inputs:
-        inp = ctx.inputs[name]
-        if not inp.resolved:
-            return _raiser(name)
-        if not ref.indices:
-            v = inp.scalar
-            return lambda env: v
-        idx_values = [_term_value(ctx, t, km) for t in ref.indices]
-        vals = float(inp.array[_input_positions(ctx, inp, idx_values)])
-        return lambda env: vals
-    if not ref.indices:
-        return lambda env: env.values[(name, 0)]
-    pos = _flat_positions(ctx, name,
-                          [_term_value(ctx, t, km) for t in ref.indices])
-    key = (name, int(pos))
-    def read(env):
-        try:
-            return env.values[key]
-        except KeyError:
-            raise UndefinedReferenceError(
-                f"value of {key[0]!r} required before it is defined "
-                "(reference escapes ancestral order)") from None
-    return read
-
-
-def _binding_for(node: GraphNode, key: tuple):
-    km = {}
-    for (kind, axis), k in zip(node.selector, key):
-        if kind == "sym":
-            km[axis] = int(k)
-    return km
-
-
-# --- runtime environment ---------------------------------------------------------------
-
-
-class _Env:
-    __slots__ = ("u", "values")
-
-    def __init__(self, u):
-        self.u = u
-        self.values = {}
+def _governor(bound: BoundModel, var: str, key: tuple) -> GraphNode:
+    node = bound.node_of.get((var, key))
+    if node is None:
+        raise UndefinedReferenceError(
+            f"{instance_name(var, key)} is not governed by any statement")
+    return node
 
 
 # --- lowering ---------------------------------------------------------------------------
-
-
-def _scan_entries(report):
-    return {e.index: e for e in report.entries.values()
-            if e.kind in (RECURRENCE, DBN_BLOCK)}
-
-
-def _scan_entry_for(graph: ModelGraph, node: GraphNode, scans: dict):
-    if not node.selector or node.selector[-1][0] != "sym":
-        return None
-    axis = node.selector[-1][1]
-    entry = scans.get(axis)
-    if entry is not None and node.variable in entry.members:
-        return entry
-    return None
-
-
-def site_schedule(graph: ModelGraph, report) -> list:
-    """Ancestral (node, key) order for prior simulation: scan members
-    interleave slice by slice.
-
-    A scan group is emitted at its LAST member's topological position; every
-    prerequisite of every member (base cases included) precedes that point.
-    A deterministic that reads a lag on an axis classified GENERAL is
-    emitted before the cells it reads, so prior simulation of such a model
-    raises UndefinedReferenceError.
-    """
-    scans = _scan_entries(report)
-    order = topo_order(graph)
-    out = []
-    last_member = {}
-    for node in order:
-        entry = _scan_entry_for(graph, node, scans)
-        if entry is not None:
-            last_member[entry.index] = node
-    for node in order:
-        entry = _scan_entry_for(graph, node, scans)
-        if entry is None:
-            out.extend((node, key) for key in node.domain)
-            continue
-        if last_member[entry.index] is not node:
-            continue
-        members = [n for n in order
-                   if _scan_entry_for(graph, n, scans) is entry]
-        rank = {id(m): i for i, m in enumerate(members)}
-        by_time: dict[int, list] = {}
-        for m in members:
-            for key in m.domain:
-                by_time.setdefault(key[-1], []).append((m, key))
-        for t in sorted(by_time):
-            # preserve within-slice member order
-            slots = by_time[t]
-            slots.sort(key=lambda nk: (rank[id(nk[0])], nk[1]))
-            out.extend(slots)
-    return out
 
 
 class _Lowering:
@@ -678,7 +555,7 @@ class _Lowering:
     so that each is made once."""
 
     def __init__(self, bound: BoundModel, slots, mode: str):
-        self.ctx = _Ctx(bound)
+        self.bound = bound
         self.src = codegen.Source(len(slots))
         self.mode = mode
         self.order = topo_order(bound.graph)
@@ -767,27 +644,27 @@ class _Lowering:
         raise TypeError(expr)
 
     def ref(self, ref: VarRef, km) -> codegen.Val:
-        ctx, name = self.ctx, ref.name
-        if name in ctx.inputs:
-            inp = ctx.inputs[name]
+        bound, name = self.bound, ref.name
+        if name in bound.inputs:
+            inp = bound.inputs[name]
             if not inp.resolved:
                 raise _UnresolvedInput(name)
             if not ref.indices:
                 return self.src.const(inp.scalar)
-            idx_values = [_term_value(ctx, t, km) for t in ref.indices]
+            idx_values = [_term_value(bound, t, km) for t in ref.indices]
             return self.src.const(
-                inp.array[_input_positions(ctx, inp, idx_values)])
-        idx_values = [_term_value(ctx, t, km) for t in ref.indices]
+                inp.array[_input_positions(inp, idx_values)])
+        idx_values = [_term_value(bound, t, km) for t in ref.indices]
         if self.mode == UNROLLED:
-            _flat_positions(ctx, name, idx_values)   # checks the range
+            _flat_positions(bound, name, idx_values)   # checks the range
             return self.at(name, tuple(int(v) for v in idx_values))
-        if any(n.kind == "deterministic" for n in ctx.graph.by_var[name]):
+        if any(n.kind == "deterministic" for n in bound.graph.by_var[name]):
             if not ref.indices:
-                return self.expr(ctx.node_of[(name, ())].stmt.rhs, {})
+                return self.expr(bound.node_of[(name, ())].stmt.rhs, {})
             return self.inline_deterministic(name, idx_values)
         if not ref.indices:
             return self.values[name]
-        return self.read(name, _flat_positions(ctx, name, idx_values))
+        return self.read(name, _flat_positions(bound, name, idx_values))
 
     def inline_deterministic(self, var: str, idx_values) -> codegen.Val:
         """FUSED: a deterministic variable at index values `idx_values`
@@ -799,7 +676,7 @@ class _Lowering:
             key = tuple(int(v) for v in idx_values)
             if var in self.stepwise:
                 return self.stepwise_cells(var, [key])[0]
-            return self.governed(var, self._governor(var, key), key)
+            return self.governed(var, _governor(self.bound, var, key), key)
         n = max(np.asarray(v).size for v in idx_values
                 if isinstance(v, np.ndarray))
         cols = [np.broadcast_to(np.asarray(v), (n,)) for v in idx_values]
@@ -809,7 +686,7 @@ class _Lowering:
                 self.stepwise_cells(var, keys))))
         rows_of: dict[int, tuple] = {}
         for i, key in enumerate(zip(*(c.tolist() for c in cols))):
-            node = self._governor(var, key)
+            node = _governor(self.bound, var, key)
             rows_of.setdefault(id(node), (node, []))[1].append(i)
         pieces = [(np.asarray(rows, dtype=np.int64),
                    self.governed(var, node, [c[rows] for c in cols]))
@@ -831,18 +708,11 @@ class _Lowering:
                         self.at(var, key)
         return [self.at(var, key) for key in keys]
 
-    def _governor(self, var: str, key: tuple) -> GraphNode:
-        node = self.ctx.node_of.get((var, key))
-        if node is None:
-            raise UndefinedReferenceError(
-                f"{instance_name(var, key)} is not governed by any statement")
-        return node
-
     def at(self, var: str, key: tuple) -> codegen.Val:
         """One cell of `var`, made once."""
         v = self.cells.get((var, key))
         if v is None:
-            v = self.governed(var, self._governor(var, key), key)
+            v = self.governed(var, _governor(self.bound, var, key), key)
             self.cells[(var, key)] = v
         return v
 
@@ -850,15 +720,13 @@ class _Lowering:
         """var at index values `key` (ints, or int arrays of one length),
         all governed by `node`."""
         if node.kind == "deterministic":
-            return self.expr(node.stmt.rhs, {
-                axis: k for (kind, axis), k in zip(node.selector, key)
-                if kind == "sym"})
+            return self.expr(node.stmt.rhs, _binding_for(node, key))
         if self.mode == UNROLLED:
             # a stochastic cell with no slot: observed, or a discrete
             # latent of a simulate-only plan (NaN)
-            return self.src.const(self.ctx.bound.status[(var, key)][1])
+            return self.src.const(self.bound.status[(var, key)][1])
         # mixed stochastic/deterministic variable: read the array
-        layout = self.ctx.layouts[var]
+        layout = self.bound.layouts[var]
         if isinstance(key, tuple):
             return self.read(var, layout.flat(key))
         return self.read(var, np.asarray(
@@ -868,25 +736,24 @@ class _Lowering:
         """FUSED: the term of one stochastic statement over its whole
         domain."""
         var, domain = node.variable, node.domain
-        status = self.ctx.bound.status
-        indexed = bool(self.ctx.graph.var_axes[var])
+        status = self.bound.status
+        indexed = bool(self.bound.graph.var_axes[var])
         if node.n_symbolic == 0:
             (key,) = domain
             st, _ = status[(var, key)]
             self.blocks.append(ScalarSite(instance_name(var, key), var, key,
                                           st, node.stmt.dist.name))
-            pos = self.ctx.layouts[var].flat(key) if indexed else None
+            pos = self.bound.layouts[var].flat(key) if indexed else None
             km, observed = {}, st == OBSERVED
         else:
-            layout = self.ctx.layouts[var]
+            layout = self.bound.layouts[var]
             pos = np.asarray([layout.flat(k) for k in domain], dtype=np.int64)
             obs = np.flatnonzero([status[(var, k)][0] == OBSERVED
                                   for k in domain])
             observed = (len(obs) == len(domain)) \
                 if len(obs) in (0, len(domain)) else obs
-            km = {axis: np.asarray(col, dtype=np.int64)
-                  for (kind, axis), col in zip(node.selector, zip(*domain))
-                  if kind == "sym"}
+            km = _binding_for(node, [np.asarray(col, dtype=np.int64)
+                                     for col in zip(*domain)])
         params = [self.expr(p, km) for p in node.stmt.dist.params]
         v = self.read(var, pos) if indexed else self.values[var]
         self.src.term(node.stmt.dist.name, v, params, observed)
@@ -899,7 +766,7 @@ class _Lowering:
             return
         km = _binding_for(node, key)
         params = [self.expr(p, km) for p in node.stmt.dist.params]
-        st, _ = self.ctx.bound.status[(node.variable, key)]
+        st, _ = self.bound.status[(node.variable, key)]
         self.src.term(node.stmt.dist.name, v, params, st == OBSERVED)
 
 
@@ -929,19 +796,17 @@ class ExecutablePlan:
     """Compiled log-density program over an unconstrained latent vector."""
 
     def __init__(self, bound: BoundModel, slots, simulate_only, mode,
-                 blocks, report, program, unresolved):
+                 blocks, program, unresolved):
         self.bound = bound
         self.graph = bound.graph
         self.ranges = bound.ranges
         self.slots = slots
         self.mode = mode
         self.blocks = blocks            # FUSED: one-site statements
-        self.structure = report
         self.simulate_only = simulate_only
         self.bindings = bound.bindings
         self._program = program         # codegen.Program
         self._unresolved = unresolved   # an input with no value, or None
-        self._sim_program = None
         by_transform: dict[object, list] = {}
         for s in slots:
             by_transform.setdefault(s.transform, []).append(s.offset)
@@ -987,7 +852,7 @@ class ExecutablePlan:
             raise MissingDiscreteUnsupportedError(
                 "plan has unobserved discrete sites; it can only simulate")
         if self._unresolved is not None:
-            raise _unresolved_error(self._unresolved)
+            raise _UnresolvedInput(self._unresolved)
 
     def eval_logdensity(self, u):
         """Core evaluation; u may be a raw vector or an `autodiff.Node`,
@@ -1043,7 +908,6 @@ class ExecutablePlan:
 def lower(bound: BoundModel, mode: str = FUSED) -> ExecutablePlan:
     if mode not in (FUSED, UNROLLED):
         raise ValueError(f"unknown mode {mode!r}")
-    report = detect_structure(bound.graph)
     slots, simulate_only = build_layout(bound)
     # lowering allocates hundreds of thousands of small objects that live
     # until it ends; cyclic collections would walk them over and over
@@ -1054,8 +918,8 @@ def lower(bound: BoundModel, mode: str = FUSED) -> ExecutablePlan:
     finally:
         if gc_was_enabled:
             gc.enable()
-    return ExecutablePlan(bound, slots, simulate_only, mode, blocks, report,
-                          program, unresolved)
+    return ExecutablePlan(bound, slots, simulate_only, mode, blocks, program,
+                          unresolved)
 
 
 def compile_model(source, tables=(), obs=(), inputs=None,
@@ -1080,71 +944,90 @@ def prior_simulate(plan: ExecutablePlan, rng: np.random.Generator,
                    n_draws: int) -> DataTable:
     """Ancestral sampling from the joint prior; returns one wide table with a
     `draw` column, one column per used index, and one column per variable
-    (scalar variables repeat across index rows)."""
+    (scalar variables repeat across index rows). Cells are drawn in UNROLLED
+    order; a cell read before its turn is drawn on demand (see
+    `_Simulation`)."""
     bound = plan.bound
     graph = bound.graph
-    program = _simulation_program(plan)
-
-    env = _Env(None)
-    for step in program:
-        step(env, rng, n_draws)
+    sim = _Simulation(bound, rng, n_draws)
+    for node in topo_order(graph):
+        for key in node.domain:
+            sim.at(node.variable, key)
 
     used = [d.name for d in graph.ast.indices
             if any(d.name in (a for a in graph.var_axes[v] if a)
                    for v in graph.var_axes)]
     out_vars = [v for v in graph.var_axes
                 if not any(a is None for a in graph.var_axes[v])]
-    grids = [range(*_incl(bound.ranges[a])) for a in used]
-    grid_keys = list(itertools.product(*grids)) or [()]
-    n_rows = n_draws * len(grid_keys)
-    idx_rows = np.empty((n_rows, 1 + len(used)), dtype=np.int64)
-    cols = {v: np.empty(n_rows) for v in out_vars}
-    r = 0
-    axis_pos = {a: i for i, a in enumerate(used)}
-    proj = {v: [axis_pos[a] for a in graph.var_axes[v]] for v in out_vars}
-    for d in range(n_draws):
-        for gk in grid_keys:
-            idx_rows[r, 0] = d
-            idx_rows[r, 1:] = gk
-            for v in out_vars:
-                key = tuple(gk[p] for p in proj[v])
-                vals = env.values[(v, bound.layouts[v].flat(key))]
-                vals = np.asarray(vals)
-                cols[v][r] = float(vals[d] if vals.ndim else vals)
-            r += 1
+    keys = list(itertools.product(*(range(*_incl(bound.ranges[a]))
+                                    for a in used)))
+    grid = np.array(keys, dtype=np.int64).reshape(len(keys), len(used))
+    cols = {}
+    for v in out_vars:
+        layout = bound.layouts[v]
+        pos = np.zeros(len(grid), dtype=np.int64)
+        for p, axis in enumerate(layout.axes):
+            pos += (grid[:, used.index(axis)]
+                    - layout.axis_values[p][0]) * layout.strides[p]
+        cells = np.stack([sim.at(v, key) for key in layout.keys()], axis=1)
+        cols[v] = cells[:, pos].ravel()
+    idx_rows = np.column_stack([np.repeat(np.arange(n_draws), len(grid)),
+                                np.tile(grid, (n_draws, 1))])
     return make_table(["draw"] + used, idx_rows, cols)
 
 
-def _simulation_program(plan: ExecutablePlan):
-    if plan._sim_program is not None:
-        return plan._sim_program
-    bound = plan.bound
-    ctx = _Ctx(bound)
-    schedule = site_schedule(bound.graph, plan.structure)
-    program = []
-    for node, key in schedule:
-        var = node.variable
-        flat = bound.layouts[var].flat(key)
-        km = _binding_for(node, key)
-        if node.kind == "deterministic":
-            expr = _compile_expr(ctx, node.stmt.rhs, km)
-            def step(env, rng, n, expr=expr, k=(var, flat)):
-                v = expr(env)
-                env.values[k] = np.broadcast_to(np.asarray(v, dtype=float),
-                                                (n,)).copy() \
-                    if np.ndim(v) == 0 else v
-                return None
-            program.append(step)
-            continue
-        spec = dist.lookup(node.stmt.dist.name)
-        params = [_compile_expr(ctx, p, km)
-                  for p in node.stmt.dist.params]
-        sample = spec.sample
-        def step(env, rng, n, params=params, sample=sample, k=(var, flat)):
-            vals = [p(env) for p in params]
-            env.values[k] = np.asarray(
-                sample(rng, *vals, size=(n,)), dtype=float)
-            return None
-        program.append(step)
-    plan._sim_program = program
-    return program
+class _Simulation:
+    """Prior draws of every cell, `n` per cell, made once each and kept in
+    `cells` by (variable, key). A stochastic cell is drawn from its
+    distribution with the parameters as arrays over the draws; a
+    deterministic cell is its right-hand side over the same arrays. A cell
+    read before its turn is made on demand, as `_Lowering.at` does, so a
+    lag on any axis reads a cell that exists."""
+
+    def __init__(self, bound: BoundModel, rng: np.random.Generator, n: int):
+        self.bound = bound
+        self.rng = rng
+        self.n = n
+        self.cells = {}
+
+    def at(self, var: str, key: tuple) -> np.ndarray:
+        v = self.cells.get((var, key))
+        if v is None:
+            node = _governor(self.bound, var, key)
+            km = _binding_for(node, key)
+            if node.kind == "deterministic":
+                v = np.broadcast_to(np.asarray(
+                    self.expr(node.stmt.rhs, km), dtype=float), (self.n,))
+            else:
+                params = [self.expr(p, km) for p in node.stmt.dist.params]
+                v = np.asarray(dist.lookup(node.stmt.dist.name).sample(
+                    self.rng, *params, size=(self.n,)), dtype=float)
+            self.cells[(var, key)] = v
+        return v
+
+    def expr(self, expr, km):
+        """A float, or an array over the draws."""
+        if isinstance(expr, Const):
+            return expr.value
+        if isinstance(expr, BinOp):
+            return _BINOPS[expr.op](self.expr(expr.left, km),
+                                   self.expr(expr.right, km))
+        if isinstance(expr, Call):
+            return _CALLS[expr.fn](*(self.expr(a, km) for a in expr.args))
+        if isinstance(expr, Ref):
+            return self.ref(expr.ref, km)
+        raise TypeError(expr)
+
+    def ref(self, ref: VarRef, km):
+        bound, name = self.bound, ref.name
+        if name in bound.inputs:
+            inp = bound.inputs[name]
+            if not inp.resolved:
+                raise _UnresolvedInput(name)
+            if not ref.indices:
+                return inp.scalar
+            idx_values = [_term_value(bound, t, km) for t in ref.indices]
+            return float(inp.array[_input_positions(inp, idx_values)])
+        idx_values = [_term_value(bound, t, km) for t in ref.indices]
+        _flat_positions(bound, name, idx_values)   # checks the range
+        return self.at(name, tuple(int(v) for v in idx_values))

@@ -87,6 +87,30 @@ def test_simulate_writes_table_and_manifest(model_file, tmp_path, capsys):
     assert man["output"] == str(out)
 
 
+def test_simulate_without_lookup_input_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    model = str(ROOT / "models" / "multilevel_b.ldm")
+    assert main(["simulate", model, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input 'actor' has no value")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_is_reproducible_from_its_seed(tmp_path, capsys):
+    model = str(ROOT / "models" / "dbn.ldm")
+
+    def simulate(seed, name):
+        out = tmp_path / name
+        assert main(["simulate", model, "--draws", "3", "--seed", str(seed),
+                     "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    first = simulate(5, "a.csv")
+    assert simulate(5, "b.csv") == first
+    assert simulate(6, "c.csv") != first
+
+
 def test_sample_needs_data(model_file, capsys):
     assert main(["sample", model_file]) == 1
     err = capsys.readouterr().err

@@ -98,28 +98,6 @@ def test_fused_plan_emits_scan_for_recurrences():
     assert plan.logdensity(u) == pytest.approx(want, rel=1e-12)
 
 
-def test_dbn_scan_covers_all_member_chains():
-    from conftest import model_text
-    from ldmlang.frontend import parse_program
-    ast = parse_program(model_text("dbn.ldm"))
-    for decl in ast.indices:
-        if decl.name == "t":
-            decl.hi = 7
-        else:
-            decl.hi = 2
-    plan = pl.compile_model(ast)
-    schedule = pl.site_schedule(plan.graph, plan.structure)
-    for t in range(1, 8):
-        sites = [(node.variable, key) for node, key in schedule
-                 if key and key[-1] == t]
-        # within-slice order: A waits on P's current value, the rest tie on
-        # name; every chain n of a member precedes the next member
-        assert [v for v, _ in sites] == [
-            v for v in ("C", "EM", "IM", "P", "A") for _ in range(3)]
-        assert [key[0] for _, key in sites] == [0, 1, 2] * 5
-    assert len(schedule) == len(plan.bindings)
-
-
 def modes_agree(source, tables=(), obs=(), inputs=None, n_points=20, seed=0):
     fused = pl.compile_model(source, tables, obs, inputs, mode=pl.FUSED)
     unrolled = pl.compile_model(source, tables, obs, inputs, mode=pl.UNROLLED)
@@ -207,10 +185,10 @@ def test_modes_agree_on_vectorized_statements(name):
     assert [b.name for b in fused.blocks] == scalar_sites
 
 
-def test_modes_agree_on_lagged_deterministic_over_general_axis():
-    # m[t] reads y[t-1] on an axis that the lookup makes GENERAL; UNROLLED
-    # makes each cell when it is first read, so no statement order is needed
-    src = """ProgramName: GeneralLag
+# m[t] reads y[t-1] on an axis that the lookup makes GENERAL; UNROLLED and
+# prior simulation make each cell when it is first read, so no statement
+# order is needed
+GENERAL_LAG = """ProgramName: GeneralLag
 Indices: k 0 1, t 0 5
 Inputs: grp
 mu ~ N(0, 1)
@@ -221,11 +199,36 @@ m[0] = mu
 m[t] = r * y[t-1] + mu
 y[t] ~ N(m[t] + e[grp[t]], s)
 """
+GRP = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+
+
+def test_modes_agree_on_lagged_deterministic_over_general_axis():
     y = np.random.default_rng(6).normal(size=6)
     y[[2, 4]] = np.nan
-    table = make_table(("t",), [[t] for t in range(6)],
-                       {"y": y, "grp": [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]})
-    modes_agree(src, tables=(table,), obs=("y",))
+    table = make_table(("t",), [[t] for t in range(6)], {"y": y, "grp": GRP})
+    modes_agree(GENERAL_LAG, tables=(table,), obs=("y",))
+
+
+def test_prior_simulate_lagged_deterministic_over_general_axis():
+    plan = pl.compile_model(GENERAL_LAG, inputs={"grp": GRP})
+    out = pl.prior_simulate(plan, np.random.default_rng(4), 5)
+    assert out.index_names == ("draw", "k", "t")
+    assert out.n_rows == 5 * 2 * 6
+    for v in ("mu", "r", "s", "e", "m", "y"):
+        assert np.all(np.isfinite(out.column(v)))
+    # m and y depend on t only: read them on the k = 0 rows, (draw, t)
+    rows = out.column("k") == 0
+    m, y, r, mu = (out.column(v)[rows].reshape(5, 6)
+                   for v in ("m", "y", "r", "mu"))
+    assert np.array_equal(m[:, 0], mu[:, 0])
+    assert np.array_equal(m[:, 1:], r[:, 1:] * y[:, :-1] + mu[:, 1:])
+
+
+def test_prior_simulate_unresolved_lookup_input_is_an_ldm_error():
+    plan = pl.compile_model(GENERAL_LAG)
+    with pytest.raises(UndefinedReferenceError,
+                       match="input 'grp' has no value"):
+        pl.prior_simulate(plan, np.random.default_rng(0), 2)
 
 
 def deterministic_recurrence(T):
@@ -304,6 +307,61 @@ def test_prior_simulate_indexed_layout():
     assert out.n_rows == 15
     t = out.column("t")
     assert list(t[:5]) == [0, 1, 2, 3, 4]
+    # two axes: rows run draw-major, then n, then t; each variable is
+    # projected onto the axes it has
+    src = """ProgramName: TwoAxes
+Indices: n 0 2, t 0 3
+Inputs: x
+e[n] ~ N(0, 1)
+m[n,t] = x[n,t]
+y[n,t] ~ N(m[n,t] + e[n], 1)
+"""
+    x = np.arange(12.0).reshape(3, 4) / 7
+    plan = pl.compile_model(src, inputs={"x": x})
+    out = pl.prior_simulate(plan, np.random.default_rng(1), 4)
+    assert out.index_names == ("draw", "n", "t")
+    assert out.n_rows == 4 * 12
+    want = [(d, n, t) for d in range(4) for n in range(3) for t in range(4)]
+    assert out.index_rows.tolist() == [list(k) for k in want]
+    n, t = out.column("n"), out.column("t")
+    assert np.array_equal(out.column("m"), x[n, t])
+    e = out.column("e").reshape(4, 3, 4)
+    assert np.all(e == e[:, :, :1])
+    assert len(np.unique(e[:, :, 0])) == 12
+
+
+LINEAR_DBN = """ProgramName: LinearDBN
+Indices: n 0 1, t 0 4
+X[n,0] ~ N(2, 1)
+Y[n,0] ~ N(0, 1)
+X[n,t] ~ N(0.5 * X[n,t-1] + 0.3 * Y[n,t-1] + 1, 1)
+Y[n,t] ~ N(0.4 * X[n,t] + 0.2 * Y[n,t-1], 0.5)
+"""
+
+
+def test_prior_simulate_linear_gaussian_dbn_matches_closed_form():
+    # z_t = (X_t, Y_t) = A z_{t-1} + c + L eps_t with Y_t's within-slice
+    # read of X_t substituted in, so mean_t = A mean_{t-1} + c and
+    # cov_t = A cov_{t-1} A' + L L'
+    A = np.array([[0.5, 0.3], [0.4 * 0.5, 0.4 * 0.3 + 0.2]])
+    c = np.array([1.0, 0.4])
+    L = np.array([[1.0, 0.0], [0.4, 0.5]])
+    mean, cov = np.array([2.0, 0.0]), np.eye(2)
+    for _ in range(4):
+        mean, cov = A @ mean + c, A @ cov @ A.T + L @ L.T
+    plan = pl.compile_model(LINEAR_DBN)
+    out = pl.prior_simulate(plan, np.random.default_rng(21), 4000)
+    last = out.column("t") == 4
+    z = np.column_stack([out.column("X")[last], out.column("Y")[last]])
+    n = len(z)
+    assert n == 4000 * 2
+    se_mean = np.sqrt(np.diag(cov) / n)
+    assert np.all(np.abs(z.mean(axis=0) - mean) < 4 * se_mean)
+    # standard error of a sample covariance of Gaussians:
+    # sqrt((cov_ii cov_jj + cov_ij^2) / n)
+    d = np.diag(cov)
+    se_cov = np.sqrt((np.outer(d, d) + cov ** 2) / n)
+    assert np.all(np.abs(np.cov(z.T) - cov) < 4 * se_cov)
 
 
 def test_latent_discrete_sites_are_simulate_only():
