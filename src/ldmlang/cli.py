@@ -153,16 +153,17 @@ def cmd_simulate(args) -> int:
         return 1
     t0 = time.perf_counter()
     tables = _load_tables(args.data, ast)
-    plan = compile_model(ast, tables=tables)
-    t_compile = time.perf_counter() - t0
+    phases = {}
+    plan = compile_model(ast, tables=tables, phases=phases)
+    phases["compile"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     table = prior_simulate(plan, _rng(args.seed), args.draws)
-    t_sim = time.perf_counter() - t0
+    phases["simulate"] = time.perf_counter() - t0
     write_csv(table, args.out, float_repr=True)
     _write_manifest(args.out, "simulate", model=args.model, data=args.data,
                     seed=args.seed,
                     config={"draws": args.draws},
-                    phases={"compile": t_compile, "simulate": t_sim})
+                    phases=phases)
     print(f"wrote {args.out} ({args.draws} prior draws)")
     return 0
 
@@ -191,10 +192,16 @@ def cmd_sample(args) -> int:
         return 1
     mode = UNROLLED if args.no_optimize else FUSED
     t0 = time.perf_counter()
-    plan = compile_model(ast, tables=tables, obs=obs, mode=mode)
-    t_compile = time.perf_counter() - t0
+    phases = {}
+    plan = compile_model(ast, tables=tables, obs=obs, mode=mode,
+                         phases=phases)
+    phases["compile"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    plan.compile_gradient()
+    phases["compile_gradient"] = time.perf_counter() - t0
     cfg = _sampler_config(args)
     ds = sampler.run(plan, cfg)
+    phases["sample"] = ds.sampling_time
     ds.to_csv(args.out)
     _write_manifest(args.out, "sample", model=args.model, data=args.data,
                     obs=obs, mode=mode, seed=args.seed,
@@ -203,8 +210,7 @@ def cmd_sample(args) -> int:
                             "n_chains": cfg.n_chains,
                             "target_accept": cfg.target_accept,
                             "max_tree_depth": cfg.max_tree_depth},
-                    phases={"compile": t_compile,
-                            "sample": ds.sampling_time},
+                    phases=phases,
                     workers=ds.workers, gradients=ds.gradients,
                     peak_rss_mb=_peak_rss_mb())
     n_div = int(ds.stats["divergent"].sum())

@@ -39,14 +39,13 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
 from . import distributions as dist
 
 _NAMESPACE = {
     "np": np, "inf": math.inf, "nan": math.nan,
-    "expit": _sp.expit, "logit": _sp.logit,
-    "gammaln": _sp.gammaln, "digamma": _sp.digamma,
+    "expit": dist.expit, "logit": dist.logit,
+    "gammaln": dist.gammaln, "digamma": dist.digamma,
     "PI": math.pi,
     "HALF_LOG_2PI": 0.5 * math.log(2.0 * math.pi),
     "HALF_LOG_2_OVER_PI": 0.5 * math.log(2.0 / math.pi),
@@ -504,8 +503,10 @@ def _gamma(s: Source, v, shape, rate):
               shape, logr, logv, rate, v, s.op("gammaln({0})", shape),
               hint="lp")
     lp = s.guard(s.guard(lp, "{0} > 0.0", v), "{0} > 0.0", shape)
+    # a partial adds its site-value term last: for a scalar parameter of a
+    # vector of sites, the parameter terms stay one scalar
     return lp, [(v, Lazy("({0} - 1.0) / {1} - {2}", shape, v, rate)),
-                (shape, Lazy("{0} + {1} - digamma({2})", logr, logv, shape)),
+                (shape, Lazy("{0} - digamma({2}) + {1}", logr, logv, shape)),
                 (rate, Lazy("{0} / {1} - {2}", shape, rate, v))]
 
 
@@ -516,10 +517,11 @@ def _beta(s: Source, v, a, b):
               a, b, lv, l1v, norm, hint="lp")
     lp = s.guard(lp, "({0} > 0.0) & ({0} < 1.0)", v)
     lp = s.guard(s.guard(lp, "{0} > 0.0", a), "{0} > 0.0", b)
+    dab = Lazy("digamma({0} + {1})", a, b)
     return lp, [
         (v, Lazy("({0} - 1.0) / {2} - ({1} - 1.0) / (1.0 - {2})", a, b, v)),
-        (a, Lazy("{0} - digamma({1}) + digamma({1} + {2})", lv, a, b)),
-        (b, Lazy("{0} - digamma({2}) + digamma({1} + {2})", l1v, a, b))]
+        (a, Lazy("{2} - digamma({1}) + {0}", lv, a, dab)),    # as in _gamma
+        (b, Lazy("{2} - digamma({1}) + {0}", l1v, b, dab))]
 
 
 def _studentt(s: Source, v, df, loc, scale):

@@ -22,17 +22,23 @@ class DataTable:
     columns: dict[str, np.ndarray]          # value columns, float64, NaN = missing
     index_rows: np.ndarray                  # (n_rows, n_indices) int64
     path: str | None = None
-    _row_of: dict[tuple[int, ...], int] = field(default=None, repr=False)
+    # index tuple -> row, built by the first `get`
+    _row_of: dict[tuple[int, ...], int] = field(default=None, init=False,
+                                                repr=False)
 
     def __post_init__(self):
-        if self._row_of is None:
-            self._row_of = {}
-            for i, row in enumerate(self.index_rows):
-                key = tuple(int(v) for v in row)
-                if key in self._row_of:
-                    raise DuplicateIndexTupleError(
-                        f"duplicate rows for index tuple {key}")
-                self._row_of[key] = i
+        rows = self.index_rows
+        if len(rows) < 2:
+            return
+        # a stable sort keeps equal tuples in table order, so each repeat
+        # follows its first occurrence
+        order = (np.lexsort(rows.T[::-1]) if rows.shape[1]
+                 else np.arange(len(rows)))
+        repeat = np.all(rows[order[1:]] == rows[order[:-1]], axis=1)
+        if repeat.any():
+            first = rows[order[1:][repeat].min()]
+            raise DuplicateIndexTupleError(
+                f"duplicate rows for index tuple {tuple(first.tolist())}")
 
     @property
     def n_rows(self) -> int:
@@ -51,6 +57,9 @@ class DataTable:
 
     def get(self, name: str, key: tuple[int, ...]) -> float:
         """Value at one index tuple; a missing row reads as NaN."""
+        if self._row_of is None:
+            self._row_of = {tuple(r): i for i, r
+                            in enumerate(self.index_rows.tolist())}
         row = self._row_of.get(key)
         if row is None:
             return math.nan
@@ -118,12 +127,15 @@ def make_table(index_names, index_rows, columns) -> DataTable:
     return DataTable(index_names=index_names, columns=cols, index_rows=idx)
 
 
+_CSV_BLOCK = 1024
+
+
 def _fmt_value(v: float) -> str:
-    if math.isnan(v):
+    if v != v:
         return ""
-    if float(v).is_integer() and abs(v) < 2**53:
+    if v.is_integer() and abs(v) < 2**53:
         return str(int(v))
-    return repr(float(v))
+    return repr(v)
 
 
 def write_csv(table: DataTable, path: str, float_repr: bool = False) -> None:
@@ -132,12 +144,15 @@ def write_csv(table: DataTable, path: str, float_repr: bool = False) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(list(table.index_names) + list(table.value_names))
-        for i in range(table.n_rows):
-            row = [str(int(v)) for v in table.index_rows[i]]
+        # format a block of rows column by column: the speed of whole
+        # columns, the memory of a block
+        for lo in range(0, table.n_rows, _CSV_BLOCK):
+            rows = slice(lo, lo + _CSV_BLOCK)
+            cols = [[str(v) for v in col]
+                    for col in table.index_rows[rows].T.tolist()]
             for name in table.value_names:
-                v = table.columns[name][i]
-                if float_repr:
-                    row.append("" if math.isnan(v) else repr(float(v)))
-                else:
-                    row.append(_fmt_value(v))
-            w.writerow(row)
+                vals = table.columns[name][rows].tolist()
+                cols.append(["" if v != v else repr(v) for v in vals]
+                            if float_repr else [_fmt_value(v) for v in vals])
+            w.writerows(zip(*cols) if cols
+                        else [()] * min(_CSV_BLOCK, table.n_rows - lo))

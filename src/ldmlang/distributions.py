@@ -5,7 +5,7 @@ Conventions that differ between common libraries and matter here:
   * Exp(b): the parameter is the RATE (mean 1/b).
   * HalfNormal(s): s is the scale of the underlying normal.
 
-Log-prob kernels are plain NumPy/SciPy and return elementwise log densities.
+Log-prob kernels are plain NumPy and return elementwise log densities.
 The public API evaluates them; compiled plans of both modes run the
 closed-form rules of `codegen.RULES` instead, and the tests check each rule's
 value against its kernel. Inside a compiled plan, parameter values that leave
@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 from numpy import log, log1p, square, where
-from scipy.special import expit, gammaln, logit
 
 from .errors import InvalidParameterError, NoTransformError
 
@@ -46,6 +45,129 @@ P_REAL = "real"
 P_POSITIVE = "positive"
 P_UNIT = "unit_interval"
 P_COUNT = "nonneg_integer"
+
+
+# --- special functions -----------------------------------------------------------
+# SciPy's expit, logit, gammaln and digamma. A float argument (np.float64 is
+# one) takes a `math` path, anything else a vectorized NumPy path; both
+# return np.float64 for a scalar. Neither raises or warns: 0, poles, +-inf
+# and NaN give what SciPy gives, e.g. gammaln(0) = inf, expit(-800) = 0.0.
+
+_SHIFT = 8      # gammaln and digamma: recurrence up to here, then a series
+# log Gamma(n) = log((n - 1)!) at the whole numbers n = 1..171 where Gamma is
+# finite: exact zeros at 1 and 2, and correctly rounded values for the
+# counts of discrete data
+_LOG_FACTORIAL = np.array([math.log(math.factorial(k)) for k in range(171)])
+
+
+def _lgamma_tail(w):
+    """log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2 at w = 1/z, z >= 8:
+    the Stirling series, sum of B_2k / (2k (2k - 1)) w^(2k - 1), k = 1..8."""
+    v = w * w
+    return w * (1.0 / 12.0 + v * (-1.0 / 360.0 + v * (1.0 / 1260.0 + v * (
+        -1.0 / 1680.0 + v * (1.0 / 1188.0 + v * (-691.0 / 360360.0 + v * (
+            1.0 / 156.0 + v * (-3617.0 / 122400.0))))))))
+
+
+def _digamma_tail(w):
+    """psi(z) - log z + 1 / (2z) at w = 1 / z^2, z >= 8: the asymptotic
+    series, sum of -B_2k / (2k) w^k, k = 1..8."""
+    return w * (-1.0 / 12.0 + w * (1.0 / 120.0 + w * (-1.0 / 252.0 + w * (
+        1.0 / 240.0 + w * (-1.0 / 132.0 + w * (691.0 / 32760.0 + w * (
+            -1.0 / 12.0 + w * (3617.0 / 8160.0))))))))
+
+
+def expit(x):
+    """1 / (1 + exp(-x))."""
+    if isinstance(x, float):
+        try:
+            return np.float64(1.0 / (1.0 + math.exp(-x)))
+        except OverflowError:                   # x below about -709.78
+            return np.float64(0.0)
+    # e / (1 + e) is 1.0 in floating point from x = 37.5 on, so clipping
+    # there keeps exp finite
+    e = np.exp(np.minimum(x, 40.0))
+    return e / (1.0 + e)
+
+
+def logit(p):
+    """log(p / (1 - p)); near p = 1/2, where that form loses digits,
+    log1p(2p - 1) - log1p(1 - 2p)."""
+    if isinstance(p, float):
+        if 0.0 < p < 1.0:
+            if p < 0.3 or p > 0.65:
+                return np.float64(math.log(p / (1.0 - p)))
+            s = 2.0 * (p - 0.5)
+            return np.float64(math.log1p(s) - math.log1p(-s))
+        return np.float64(-math.inf if p == 0.0 else
+                          math.inf if p == 1.0 else math.nan)
+    p = np.asarray(p, dtype=float)
+    with np.errstate(all="ignore"):
+        s = 2.0 * (p - 0.5)
+        return where((p < 0.3) | (p > 0.65), log(p / (1.0 - p)),
+                     log1p(s) - log1p(-s))[()]
+
+
+def gammaln(x):
+    """log |Gamma(x)|."""
+    if isinstance(x, float):
+        if x.is_integer() and 0.0 < x <= 171.0:
+            return _LOG_FACTORIAL[int(x) - 1]
+        try:
+            y = math.lgamma(x)
+        except (ValueError, OverflowError):     # a pole, or too large
+            return np.float64(math.inf)
+        # y is inf only at x = +-inf, where SciPy returns x; NaN stays NaN
+        return np.float64(y if y < math.inf else x)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        neg = x < 0.0
+        y = where(neg, 1.0 - x, np.abs(x))      # reflection below 0; +0.0
+        small = y < _SHIFT
+        prod = y.copy()                         # y (y + 1) ... (y + 7)
+        for k in range(1, _SHIFT):
+            prod *= y + k
+        z = where(small, y + _SHIFT, y)
+        # Stirling at z; log Gamma(y) = log Gamma(z) - log(prod) for a
+        # small y, taken as one log so that nothing cancels near 1 and 2
+        lg = (where(small, log(z ** (z - 0.5) * np.exp(-z) / prod),
+                    (z - 0.5) * (log(z) - 1.0) - 0.5)
+              + 0.5 * _LOG_2PI + _lgamma_tail(1.0 / z))
+        # log Gamma(x) = log(pi / |sin(pi x)|) - log Gamma(1 - x)
+        d = np.abs(x - np.round(x))
+        lg = where(neg, log(math.pi / np.sin(math.pi * d)) - lg, lg)
+        whole = (x > 0.0) & (x <= 171.0) & (np.floor(x) == x)
+        n = where(whole, x, 1.0).astype(np.intp)
+        lg = where(whole, _LOG_FACTORIAL[n - 1], lg)
+        return where(x == -math.inf, -math.inf, lg)[()]
+
+
+def digamma(x):
+    """d/dx log Gamma(x)."""
+    if isinstance(x, float):
+        x = float(x)                # Python floats compute faster
+        if x > 0.0:
+            acc = 0.0
+            while x < _SHIFT:
+                acc += 1.0 / x
+                x += 1.0
+            return np.float64(math.log(x) - 0.5 / x - acc
+                              + _digamma_tail(1.0 / (x * x)))
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        neg = x < 0.0
+        y = where(neg, 1.0 - x, x)              # reflection below 0
+        small = y < _SHIFT
+        acc = 1.0 / y                           # 1/y + ... + 1/(y + 7)
+        for k in range(1, _SHIFT):
+            acc += 1.0 / (y + k)
+        z = where(small, y + _SHIFT, y)
+        psi = (log(z) - 0.5 / z - where(small, acc, 0.0)
+               + _digamma_tail(1.0 / (z * z)))
+        # psi(x) = psi(1 - x) - pi / tan(pi x), NaN at the poles
+        d = x - np.round(x)
+        refl = where(d == 0.0, math.nan, psi - math.pi / np.tan(math.pi * d))
+        return where(neg, refl, psi)[()]
 
 
 def _is_integral(v) -> np.ndarray:

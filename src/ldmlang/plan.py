@@ -33,10 +33,10 @@ import gc
 import itertools
 import math
 import operator
+import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from . import autodiff as ad
 from . import codegen
@@ -436,7 +436,8 @@ class _UnresolvedInput(UndefinedReferenceError):
 _BINOPS = {"+": operator.add, "-": operator.sub,
            "*": operator.mul, "/": operator.truediv}
 
-_CALLS = {"exp": np.exp, "log": np.log, "expit": expit, "logit": logit,
+_CALLS = {"exp": np.exp, "log": np.log,
+          "expit": dist.expit, "logit": dist.logit,
           "sqrt": np.sqrt, "abs": np.abs, "pow": operator.pow}
 
 
@@ -498,22 +499,29 @@ def _flat_positions(bound: BoundModel, var: str, idx_values):
                 o = vals - base
             else:
                 o = np.array([om.get(int(x), -1) for x in vals])
-            if np.any(o < 0) or np.any(o >= len(layout.axis_values[p])):
-                raise UndefinedReferenceError(
-                    f"reference to {var!r} falls outside the declared range")
+            outside = (o < 0) | (o >= len(layout.axis_values[p]))
+            if outside.any():
+                raise _outside(var, len(idx_values),
+                               int(vals[outside.argmax()]))
             pos = pos + o * layout.strides[p]
         else:
             om = layout.ord_maps[p]
             if int(v) not in om:
-                raise UndefinedReferenceError(
-                    f"{instance_name(var, (int(v),))} lies outside the "
-                    "declared range" if len(idx_values) == 1 else
-                    f"reference to {var!r} at index {int(v)} lies outside "
-                    "the declared range")
+                raise _outside(var, len(idx_values), int(v))
             pos = pos + om[int(v)] * layout.strides[p]
     if vector and not isinstance(pos, np.ndarray):
         pos = np.full(1, pos)
     return pos
+
+
+def _outside(var: str, n_axes: int, value: int) -> UndefinedReferenceError:
+    """The error for a reference to `var` at index `value` (on one of its
+    `n_axes` axes) outside the declared range."""
+    return UndefinedReferenceError(
+        f"{instance_name(var, (value,))} lies outside the declared range"
+        if n_axes == 1 else
+        f"reference to {var!r} at index {value} lies outside the declared "
+        "range")
 
 
 def _binding_for(node: GraphNode, key):
@@ -923,18 +931,36 @@ def lower(bound: BoundModel, mode: str = FUSED) -> ExecutablePlan:
 
 
 def compile_model(source, tables=(), obs=(), inputs=None,
-                  mode: str = FUSED) -> ExecutablePlan:
-    """Front door: parse (if needed), validate, bind, and lower a model."""
+                  mode: str = FUSED, phases: dict | None = None
+                  ) -> ExecutablePlan:
+    """Front door: parse (if needed), validate, bind, and lower a model.
+    A `phases` dict receives the seconds spent in "validate" (with the
+    parse), "graph" (build, index resolution and domains), "bind" and
+    "lower"."""
+    t0 = time.perf_counter()
+
+    def lap(name):
+        nonlocal t0
+        t = time.perf_counter()
+        if phases is not None:
+            phases[name] = t - t0
+        t0 = t
+
     ast = parse_program(source) if isinstance(source, str) else source
     diags = validate(ast)
     if diags:
         raise GraphError("model failed validation:\n  " +
                          "\n  ".join(str(d) for d in diags[:8]))
+    lap("validate")
     graph = build_graph(ast)
     ranges = resolve_indices(ast, tables)
     assign_domains(graph, ranges)
+    lap("graph")
     bound = bind(graph, ranges, obs, tables, inputs)
-    return lower(bound, mode)
+    lap("bind")
+    plan = lower(bound, mode)
+    lap("lower")
+    return plan
 
 
 # --- prior simulation --------------------------------------------------------------------

@@ -87,6 +87,21 @@ def test_simulate_writes_table_and_manifest(model_file, tmp_path, capsys):
     assert man["output"] == str(out)
 
 
+def test_manifest_times_the_compile_phases(model_file, data_file, tmp_path):
+    phases = {"validate", "graph", "bind", "lower"}
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", model_file, "--draws", "2", "-o", str(sim)]) == 0
+    out = tmp_path / "draws.csv"
+    assert main(sample_args(model_file, data_file, str(out))) == 0
+    for path, extra in ((sim, {"compile", "simulate"}),
+                        (out, {"compile", "compile_gradient", "sample"})):
+        times = json.loads(pathlib.Path(cli._manifest_path(str(path)))
+                           .read_text())["wall_clock_seconds"]
+        assert set(times) == phases | extra
+        assert all(t >= 0.0 for t in times.values())
+        assert sum(times[p] for p in phases) <= times["compile"]
+
+
 def test_simulate_without_lookup_input_is_a_clean_error(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     model = str(ROOT / "models" / "multilevel_b.ldm")
@@ -159,7 +174,9 @@ def test_sample_end_to_end(model_file, data_file, tmp_path, capsys):
     assert man["mode"] == "FUSED"
     assert man["config"]["n_chains"] == 2
     assert man["data"] == [data_file]
-    assert set(man["wall_clock_seconds"]) == {"compile", "sample"}
+    assert set(man["wall_clock_seconds"]) == {
+        "compile", "validate", "graph", "bind", "lower", "compile_gradient",
+        "sample"}
     assert man["wall_clock_seconds"]["sample"] > 0
 
 
@@ -385,3 +402,28 @@ def test_missing_file_is_a_clean_error(capsys):
     assert main(["check", "/nonexistent/model.ldm"]) == 1
     assert "error:" in capsys.readouterr().err or \
         "No such file" in capsys.readouterr().err
+
+
+NO_SCIPY = """
+import contextlib, io, sys
+import ldmlang, ldmlang.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert ldmlang.cli.main(sys.argv[1:3] + ["-o", "sim.csv"]) == 0
+    assert ldmlang.cli.main(sys.argv[3:] + ["-o", "draws.csv"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runs_without_importing_scipy(tmp_path):
+    # `ldm simulate` and `ldm sample` of zero_inflated.ldm, whose gate is
+    # expit(ap) and whose counts take gammaln
+    (tmp_path / "y.csv").write_text("y\n3\n")
+    model = str(ROOT / "models" / "zero_inflated.ldm")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, "simulate", model,
+         "sample", model, "--data", "y.csv", "--chains", "1",
+         "--warmup", "20", "--samples", "20"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]

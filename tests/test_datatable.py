@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ldmlang import datatable
 from ldmlang.datatable import DataTable, make_table, read_table, write_csv
 from ldmlang.errors import (DuplicateIndexTupleError, TableError,
                             UnparseableCellError)
@@ -67,6 +68,46 @@ def test_duplicate_index_tuple_rejected(tmp_path):
     path = write(tmp_path, "t,y\n0,1.0\n0,2.0\n")
     with pytest.raises(DuplicateIndexTupleError):
         read_table(path, ["t"])
+
+
+def test_duplicate_index_tuple_names_the_first_repeat():
+    # (1, 0) repeats at row 3, before (0, 1) repeats at row 4
+    rows = [[0, 1], [1, 0], [0, 0], [1, 0], [0, 1]]
+    with pytest.raises(DuplicateIndexTupleError,
+                       match=r"index tuple \(1, 0\)$"):
+        make_table(("n", "t"), rows, {"y": np.zeros(5)})
+    with pytest.raises(DuplicateIndexTupleError, match=r"index tuple \(\)$"):
+        make_table((), [(), ()], {"y": [1.0, 2.0]})
+
+
+def test_row_map_is_built_by_the_first_get():
+    t = make_table(("t",), [[2], [0]], {"y": [5.0, 6.0]})
+    assert t._row_of is None
+    assert t.get("y", (0,)) == 6.0
+    assert t._row_of == {(2,): 0, (0,): 1}
+
+
+def test_write_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
+    t = make_table(("i", "j"), [[i, -i] for i in range(7)],
+                   {"y": np.arange(7) / 3.0, "z": np.arange(7.0)})
+    whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+    write_csv(t, str(whole), float_repr=True)
+    monkeypatch.setattr(datatable, "_CSV_BLOCK", 3)
+    write_csv(t, str(blocks), float_repr=True)
+    assert blocks.read_bytes() == whole.read_bytes()
+    assert len(whole.read_text().splitlines()) == 8
+
+
+def test_write_csv_cell_text(tmp_path):
+    y = [0.0, -0.0, 3.0, -7.0, 2.0**53, 0.1, math.inf, math.nan]
+    t = make_table(("i",), [[i] for i in range(len(y))], {"y": y})
+    path = tmp_path / "out.csv"
+    write_csv(t, str(path))
+    assert path.read_text() == ("i,y\n0,0\n1,0\n2,3\n3,-7\n"
+                                "4,9007199254740992.0\n5,0.1\n6,inf\n7,\n")
+    write_csv(t, str(path), float_repr=True)
+    assert path.read_text() == ("i,y\n0,0.0\n1,-0.0\n2,3.0\n3,-7.0\n"
+                                "4,9007199254740992.0\n5,0.1\n6,inf\n7,\n")
 
 
 def test_missing_index_column(tmp_path):

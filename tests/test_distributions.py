@@ -1,9 +1,13 @@
-"""Log-density kernels checked against scipy.stats, plus transform round-trips."""
+"""Log-density kernels checked against scipy.stats, transform round-trips, and
+the special functions checked against scipy.special."""
 
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.special as sp
 import scipy.stats as st
 from scipy.special import expit
 
@@ -221,3 +225,89 @@ def test_no_transform_for_discrete_support():
         dist.transform_for(dist.BINARY)
     with pytest.raises(NoTransformError):
         dist.transform_for(dist.NONNEG_INTEGER)
+
+
+# --- special functions against SciPy --------------------------------------------
+
+def _special_grid():
+    """(1e-8, 1e7) log-uniform, dense around the roots of gammaln at 1 and
+    2 and of digamma at 1.4616, plus whole and half-whole numbers."""
+    rng = np.random.default_rng(11)
+    return np.concatenate([
+        np.exp(rng.uniform(math.log(1e-8), math.log(1e7), 20000)),
+        rng.uniform(0.5, 2.5, 20000),
+        1.0 + rng.uniform(-1e-6, 1e-6, 1000), 2.0 + rng.uniform(-1e-6, 1e-6, 1000),
+        rng.uniform(1.45, 1.47, 2000),
+        np.arange(1.0, 200.0), np.arange(0.5, 60.0)])
+
+
+def _scalars(f, x, kind):
+    return np.array([f(kind(v)) for v in x])
+
+
+@pytest.mark.parametrize("name", ["gammaln", "digamma"])
+def test_gammaln_digamma_match_scipy(name):
+    x = _special_grid()
+    ref = getattr(sp, name)(x)
+    ours = getattr(dist, name)
+    tol = 1e-14 * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(ours(x) - ref) <= tol)                 # array path
+    for kind in (float, np.float64):                            # math path
+        sub = slice(None, None, 7)
+        assert np.all(np.abs(_scalars(ours, x[sub], kind) - ref[sub])
+                      <= tol[sub])
+
+
+def _exact_expit(x):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(1 / (1 + (-Decimal(float(x))).exp()))
+
+
+def test_expit_and_logit_match_scipy_and_exact_values():
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.normal(0.0, 4.0, 20000),
+                        rng.uniform(-709.0, 40.0, 20000)])
+    scalar = _scalars(dist.expit, x, float)
+    np.testing.assert_array_max_ulp(scalar, sp.expit(x), maxulp=2)
+    # SciPy's own expit is up to 2 ulp from the exact value, so the array
+    # path is held to the exact value and to 4 ulp of SciPy
+    np.testing.assert_array_max_ulp(dist.expit(x), sp.expit(x), maxulp=4)
+    few = x[::20]
+    exact = np.array([_exact_expit(v) for v in few])
+    np.testing.assert_array_max_ulp(dist.expit(few), exact, maxulp=2)
+    np.testing.assert_array_max_ulp(scalar[::20], exact, maxulp=2)
+
+    p = np.concatenate([rng.random(20000), np.exp(rng.uniform(-700, 0, 2000)),
+                        1.0 - np.exp(rng.uniform(-36, 0, 2000))])
+    np.testing.assert_array_max_ulp(dist.logit(p), sp.logit(p), maxulp=2)
+    np.testing.assert_array_max_ulp(_scalars(dist.logit, p, float),
+                                    sp.logit(p), maxulp=2)
+
+
+@pytest.mark.parametrize("name", ["expit", "logit", "gammaln", "digamma"])
+def test_special_function_edges_match_scipy_without_warnings(name):
+    edges = [0.0, -0.0, -1.0, -2.0, -0.5, -1.5, -2.5, -3.7, -10.3, -1e-300,
+             math.inf, -math.inf, math.nan, -800.0, 800.0, 1e308, -1e20,
+             0.5, 1.0, 2.0, 171.0, 172.5]
+    ours, ref = getattr(dist, name), getattr(sp, name)(np.array(edges))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {"array": ours(np.array(edges)),
+               "float": _scalars(ours, edges, float),
+               "np.float64": _scalars(ours, edges, np.float64)}
+    for path, values in got.items():
+        np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0,
+                                   err_msg=f"{name} {path}")
+        num = ~np.isnan(ref)
+        assert np.array_equal(np.signbit(values[num]), np.signbit(ref[num])), \
+            f"{name} {path}"
+    assert type(ours(0.3)) is np.float64
+    assert type(ours(np.float64(0.3))) is np.float64
+    assert type(ours(np.array(0.3))) is np.float64
+
+
+def test_gammaln_is_exact_at_one_and_two():
+    assert dist.gammaln(1.0) == 0.0 and dist.gammaln(2.0) == 0.0
+    np.testing.assert_array_equal(dist.gammaln(np.array([1.0, 2.0])), 0.0)
+    assert dist.gammaln(np.array([4.0]))[0] == math.log(6.0)

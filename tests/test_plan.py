@@ -137,6 +137,22 @@ S[i] ~ BinomialLogits(D[i], a[tank[i]])
     assert "np.bincount(" in fused._program.source
 
 
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+def test_lookup_outside_range_names_the_index_value(mode):
+    src = """ProgramName: Tanks
+Indices: j 0 3, i 0 4
+Inputs: tank
+a[j] ~ N(0, 1.5)
+S[i] ~ N(a[tank[i]], 1)
+"""
+    table = make_table(("i",), [[i] for i in range(5)],
+                       {"tank": [0.0, 1.0, 9.0, 2.0, 7.0],
+                        "S": [0.1, 0.2, 0.3, 0.4, 0.5]})
+    with pytest.raises(UndefinedReferenceError,
+                       match=r"^a\[9\] lies outside the declared range$"):
+        pl.compile_model(src, tables=(table,), obs=("S",), mode=mode)
+
+
 # statements that read per-unit parameters or deterministics with several
 # governing statements; each is one vectorized term, so the only one-site
 # terms are the unindexed parameters
