@@ -159,11 +159,21 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     table = prior_simulate(plan, _rng(args.seed), args.draws)
     phases["simulate"] = time.perf_counter() - t0
+    nonfinite = {v: k for v, col in table.columns.items()
+                 if (k := int(np.count_nonzero(~np.isfinite(col))))}
+    if nonfinite:
+        counts = ", ".join(f"{v} {k} of {table.n_rows}"
+                           for v, k in nonfinite.items())
+        print(f"warning: non-finite prior draws (overflow or invalid "
+              f"arithmetic) in {counts} CSV cells, written as inf, -inf or "
+              "empty cells", file=sys.stderr)
+    t0 = time.perf_counter()
     write_csv(table, args.out, float_repr=True)
+    phases["write"] = time.perf_counter() - t0
     _write_manifest(args.out, "simulate", model=args.model, data=args.data,
                     seed=args.seed,
                     config={"draws": args.draws},
-                    phases=phases)
+                    phases=phases, nonfinite_cells=nonfinite)
     print(f"wrote {args.out} ({args.draws} prior draws)")
     return 0
 
@@ -202,7 +212,9 @@ def cmd_sample(args) -> int:
     cfg = _sampler_config(args)
     ds = sampler.run(plan, cfg)
     phases["sample"] = ds.sampling_time
+    t0 = time.perf_counter()
     ds.to_csv(args.out)
+    phases["write"] = time.perf_counter() - t0
     _write_manifest(args.out, "sample", model=args.model, data=args.data,
                     obs=obs, mode=mode, seed=args.seed,
                     config={"n_warmup": cfg.n_warmup,

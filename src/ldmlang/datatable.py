@@ -131,28 +131,46 @@ _CSV_BLOCK = 1024
 
 
 def _fmt_value(v: float) -> str:
-    if v != v:
-        return ""
     if v.is_integer() and abs(v) < 2**53:
         return str(int(v))
     return repr(v)
 
 
+def _column_text(vals: np.ndarray, fmt) -> list:
+    """Cell text of one column block, NaN as an empty cell. Each run of
+    equal values is formatted once; 0.0 and -0.0 are different runs, and so
+    is each NaN."""
+    starts = np.flatnonzero(np.concatenate((
+        [True], (vals[1:] != vals[:-1])
+        | (np.signbit(vals[1:]) != np.signbit(vals[:-1])))))
+    first = vals[starts]
+    text = list(map(fmt, first.tolist()))
+    for i in np.flatnonzero(first != first):
+        text[i] = ""
+    if len(text) == len(vals):
+        return text
+    return np.repeat(np.array(text, dtype=object),
+                     np.diff(starts, append=len(vals))).tolist()
+
+
 def write_csv(table: DataTable, path: str, float_repr: bool = False) -> None:
     """Write a table back to CSV. float_repr forces full-precision floats
     for every value cell (bitwise round-trips)."""
+    fmt = repr if float_repr else _fmt_value
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(table.index_names) + list(table.value_names))
+        csv.writer(fh).writerow(list(table.index_names)
+                                + list(table.value_names))
         # format a block of rows column by column: the speed of whole
-        # columns, the memory of a block
+        # columns, the memory of a block. The rows are joined as
+        # csv.writer would write them: numbers need no quotes, and a row
+        # of one empty cell is written as "".
         for lo in range(0, table.n_rows, _CSV_BLOCK):
             rows = slice(lo, lo + _CSV_BLOCK)
-            cols = [[str(v) for v in col]
-                    for col in table.index_rows[rows].T.tolist()]
-            for name in table.value_names:
-                vals = table.columns[name][rows].tolist()
-                cols.append(["" if v != v else repr(v) for v in vals]
-                            if float_repr else [_fmt_value(v) for v in vals])
-            w.writerows(zip(*cols) if cols
-                        else [()] * min(_CSV_BLOCK, table.n_rows - lo))
+            cols = [_column_text(col, str) for col in table.index_rows[rows].T]
+            cols += [_column_text(table.columns[name][rows], fmt)
+                     for name in table.value_names]
+            if len(cols) == 1:
+                cols = [[s or '""' for s in cols[0]]]
+            lines = (map(",".join, zip(*cols)) if cols
+                     else [""] * min(_CSV_BLOCK, table.n_rows - lo))
+            fh.write("\r\n".join(lines) + "\r\n")

@@ -21,10 +21,12 @@ The latent vector layout is shared by both modes: transformed parameters in
 statement topological order, then one slot per missing (imputed) cell in
 (variable, index-tuple) lexicographic order.
 
-Prior simulation (`prior_simulate`) walks cells as UNROLLED does: statements
-in topological order, each statement's cells in domain order, each cell made
-once as an array over the draws, and a cell read before its turn drawn on
-demand.
+Prior simulation (`prior_simulate`) walks blocks of cells in UNROLLED order:
+statements in topological order, each statement's blocks in domain order,
+each block made once as an array over its cells and the draws, and a block
+read before its turn drawn on demand. A block is the cells of one statement
+that differ only on replicate axes, axes that no statement reads at anything
+but their own bare index.
 """
 
 from __future__ import annotations
@@ -970,15 +972,17 @@ def prior_simulate(plan: ExecutablePlan, rng: np.random.Generator,
                    n_draws: int) -> DataTable:
     """Ancestral sampling from the joint prior; returns one wide table with a
     `draw` column, one column per used index, and one column per variable
-    (scalar variables repeat across index rows). Cells are drawn in UNROLLED
-    order; a cell read before its turn is drawn on demand (see
-    `_Simulation`)."""
+    (scalar variables repeat across index rows). Blocks of cells are drawn
+    in UNROLLED order; a block read before its turn is drawn on demand (see
+    `_Simulation`). Arithmetic that overflows or is invalid leaves inf or
+    NaN in its cells without a warning."""
     bound = plan.bound
     graph = bound.graph
     sim = _Simulation(bound, rng, n_draws)
-    for node in topo_order(graph):
-        for key in node.domain:
-            sim.at(node.variable, key)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for b in range(len(sim.blocks)):
+            if not sim.done[b]:
+                sim.make(b)
 
     used = [d.name for d in graph.ast.indices
             if any(d.name in (a for a in graph.var_axes[v] if a)
@@ -995,44 +999,88 @@ def prior_simulate(plan: ExecutablePlan, rng: np.random.Generator,
         for p, axis in enumerate(layout.axes):
             pos += (grid[:, used.index(axis)]
                     - layout.axis_values[p][0]) * layout.strides[p]
-        cells = np.stack([sim.at(v, key) for key in layout.keys()], axis=1)
-        cols[v] = cells[:, pos].ravel()
+        cols[v] = sim.values[v][pos].T.ravel()
     idx_rows = np.column_stack([np.repeat(np.arange(n_draws), len(grid)),
                                 np.tile(grid, (n_draws, 1))])
     return make_table(["draw"] + used, idx_rows, cols)
 
 
+def _replicate_axes(graph: ModelGraph) -> set:
+    """Axes that no statement reads or defines at anything but their own
+    bare index: no lag, literal or lookup on them. A cell then reads only
+    cells at its own values of these axes."""
+    axes = {a for var_axes in graph.var_axes.values() for a in var_axes}
+    for node in graph.nodes:
+        for (kind, _), axis in zip(node.selector,
+                                   graph.var_axes[node.variable]):
+            if kind == "fixed":
+                axes.discard(axis)
+        for edge in node.deps:
+            for term, axis in zip(edge.terms, graph.var_axes[edge.target]):
+                if not isinstance(term, IndexVar):
+                    axes.discard(axis)
+    axes.discard(None)
+    return axes
+
+
 class _Simulation:
-    """Prior draws of every cell, `n` per cell, made once each and kept in
-    `cells` by (variable, key). A stochastic cell is drawn from its
-    distribution with the parameters as arrays over the draws; a
-    deterministic cell is its right-hand side over the same arrays. A cell
-    read before its turn is made on demand, as `_Lowering.at` does, so a
-    lag on any axis reads a cell that exists."""
+    """Prior draws of every cell, `n` per cell, in one (cells, n) array per
+    variable over its layout (`values`). Cells are made a block at a time:
+    the cells of one statement that differ only on replicate axes (see
+    `_replicate_axes`), so no cell of a block reads another. `blocks` holds
+    (node, flat positions, key map) per block, statements in topological
+    order and each statement's blocks in the order of its domain; a model
+    with no replicate axis has one cell per block. A stochastic block is
+    drawn from its distribution with the parameters as arrays over (cells,
+    draws), so each cell's draws stay consecutive in the RNG stream; a
+    deterministic block is its right-hand side over the same arrays. A block
+    read before its turn is made on demand, as `_Lowering.at` makes a cell,
+    so a lag on any axis reads a cell that exists."""
 
     def __init__(self, bound: BoundModel, rng: np.random.Generator, n: int):
         self.bound = bound
         self.rng = rng
         self.n = n
-        self.cells = {}
+        self.values = {v: np.full((layout.size, n), math.nan)
+                       for v, layout in bound.layouts.items()}
+        # flat position -> block, per variable
+        self.owner = {v: np.zeros(layout.size, dtype=np.int64)
+                      for v, layout in bound.layouts.items()}
+        self.blocks = []
+        replicate = _replicate_axes(bound.graph)
+        for node in topo_order(bound.graph):
+            if not node.domain:
+                continue
+            var = node.variable
+            keys = np.array(node.domain, dtype=np.int64)
+            pos = np.atleast_1d(_flat_positions(bound, var, list(keys.T)))
+            rep = [p for p, (kind, axis) in enumerate(node.selector)
+                   if kind == "sym" and axis in replicate]
+            rows_of: dict[tuple, list] = {}
+            for i, sub in enumerate(np.delete(keys, rep, axis=1).tolist()):
+                rows_of.setdefault(tuple(sub), []).append(i)
+            for rows in rows_of.values():
+                km = {axis: keys[rows, p] if p in rep else int(keys[rows[0], p])
+                      for p, (kind, axis) in enumerate(node.selector)
+                      if kind == "sym"}
+                self.owner[var][pos[rows]] = len(self.blocks)
+                self.blocks.append((node, pos[rows], km))
+        self.done = np.zeros(len(self.blocks), dtype=bool)
 
-    def at(self, var: str, key: tuple) -> np.ndarray:
-        v = self.cells.get((var, key))
-        if v is None:
-            node = _governor(self.bound, var, key)
-            km = _binding_for(node, key)
-            if node.kind == "deterministic":
-                v = np.broadcast_to(np.asarray(
-                    self.expr(node.stmt.rhs, km), dtype=float), (self.n,))
-            else:
-                params = [self.expr(p, km) for p in node.stmt.dist.params]
-                v = np.asarray(dist.lookup(node.stmt.dist.name).sample(
-                    self.rng, *params, size=(self.n,)), dtype=float)
-            self.cells[(var, key)] = v
-        return v
+    def make(self, b: int) -> None:
+        node, pos, km = self.blocks[b]
+        if node.kind == "deterministic":
+            v = self.expr(node.stmt.rhs, km)
+        else:
+            params = [self.expr(p, km) for p in node.stmt.dist.params]
+            v = dist.lookup(node.stmt.dist.name).sample(
+                self.rng, *params, size=(len(pos), self.n))
+        self.values[node.variable][pos] = v
+        self.done[b] = True
 
     def expr(self, expr, km):
-        """A float, or an array over the draws."""
+        """A float, an array over the draws, or an array over (cells,
+        draws)."""
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, BinOp):
@@ -1053,7 +1101,13 @@ class _Simulation:
             if not ref.indices:
                 return inp.scalar
             idx_values = [_term_value(bound, t, km) for t in ref.indices]
-            return float(inp.array[_input_positions(inp, idx_values)])
+            vals = inp.array[_input_positions(inp, idx_values)]
+            return vals[:, None] if np.ndim(vals) else float(vals)
         idx_values = [_term_value(bound, t, km) for t in ref.indices]
-        _flat_positions(bound, name, idx_values)   # checks the range
-        return self.at(name, tuple(int(v) for v in idx_values))
+        pos = _flat_positions(bound, name, idx_values)   # checks the range
+        blocks = self.owner[name][pos]
+        if not self.done[blocks].all():
+            for b in dict.fromkeys(np.atleast_1d(blocks).tolist()):
+                if not self.done[b]:
+                    self.make(b)
+        return self.values[name][pos]

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .datatable import DataTable, write_csv
 from .errors import AllDivergentError, InitializationFailedError, SamplerError
 
 _DIVERGENCE_THRESHOLD = 1000.0
@@ -366,14 +367,14 @@ class DrawSet:
         return self.draws[:, :, self.site_names.index(name)]
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["chain", "draw"] + list(self.site_names))
-            for c in range(self.n_chains):
-                for d in range(self.n_samples):
-                    row = [str(c), str(d)]
-                    row.extend(repr(float(x)) for x in self.draws[c, d])
-                    w.writerow(row)
+        """One row per (chain, draw), the sites as full-precision floats."""
+        chain, draw = np.divmod(np.arange(self.n_chains * self.n_samples),
+                                self.n_samples)
+        flat = self.draws.reshape(len(chain), len(self.site_names))
+        write_csv(DataTable(index_names=("chain", "draw"),
+                            columns=dict(zip(self.site_names, flat.T)),
+                            index_rows=np.column_stack([chain, draw])),
+                  path, float_repr=True)
 
     @classmethod
     def from_csv(cls, path: str) -> "DrawSet":
@@ -384,12 +385,11 @@ class DrawSet:
             raise SamplerError(f"{path}: not a draws file "
                                "(expected chain,draw,... header)")
         names = header[2:]
-        chains = sorted({int(r[0]) for r in rows[1:]})
-        per_chain = {c: [] for c in chains}
-        for r in rows[1:]:
-            per_chain[int(r[0])].append([float(x) for x in r[2:]])
-        n_samples = min(len(v) for v in per_chain.values())
-        draws = np.array([per_chain[c][:n_samples] for c in chains])
+        body = np.array(rows[1:], dtype=float)
+        chain = body[:, 0].astype(np.int64)
+        per_chain = [body[chain == c, 2:] for c in np.unique(chain)]
+        n_samples = min(len(v) for v in per_chain)
+        draws = np.array([v[:n_samples] for v in per_chain])
         return cls(draws=draws, site_names=names, stats={}, n_warmup=0, seed=0)
 
 

@@ -1,11 +1,13 @@
 """End-to-end CLI behavior through main(argv); one test runs `ldm sample`
 in a subprocess to check what its chain workers leave behind."""
 
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -93,8 +95,9 @@ def test_manifest_times_the_compile_phases(model_file, data_file, tmp_path):
     assert main(["simulate", model_file, "--draws", "2", "-o", str(sim)]) == 0
     out = tmp_path / "draws.csv"
     assert main(sample_args(model_file, data_file, str(out))) == 0
-    for path, extra in ((sim, {"compile", "simulate"}),
-                        (out, {"compile", "compile_gradient", "sample"})):
+    for path, extra in ((sim, {"compile", "simulate", "write"}),
+                        (out, {"compile", "compile_gradient", "sample",
+                               "write"})):
         times = json.loads(pathlib.Path(cli._manifest_path(str(path)))
                            .read_text())["wall_clock_seconds"]
         assert set(times) == phases | extra
@@ -124,6 +127,53 @@ def test_simulate_is_reproducible_from_its_seed(tmp_path, capsys):
     first = simulate(5, "a.csv")
     assert simulate(5, "b.csv") == first
     assert simulate(6, "c.csv") != first
+
+
+# SHA-256 of `ldm simulate MODEL --draws 5 --seed 1`. These models have no
+# replicate axis, or only scalar variables, so every block of the prior walk
+# is one cell and the draws come from the RNG stream in the order of a walk
+# over single cells.
+SIMULATE_SHA256 = {
+    "ar1": "0905f3a3f7a87072f394b4430213f1fc47514dbbca8b755cad12570cc0254fe1",
+    "ar2": "a6b76303422ce01ad1dce49f592509393d1f8e6d9581d6cdbb3ac4aa7a28c417",
+    "zero_inflated":
+        "fa92baff5c46e5a633e141dd717b9f1755a8a9585e4b553132358afb538f3591",
+    "linear_regression":
+        "149abbc9f1d7367983b7ad8417ea98abc5a5b6ebc2e8f226fde04ecf7ea0ad0e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
+def test_simulate_output_is_pinned(name, tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    args = ["simulate", str(ROOT / "models" / f"{name}.ldm"), "--draws", "5",
+            "--seed", "1", "-o", str(out)]
+    if name == "linear_regression":
+        x = tmp_path / "x.csv"
+        x.write_text("x\n1.7\n")
+        args += ["--data", str(x)]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256[name]
+
+
+def test_simulate_overflow_is_one_line_not_a_runtime_warning(tmp_path,
+                                                            capsys):
+    # a ~ N(0, 10) makes most AR(1) prior paths explosive over 300 steps
+    out = tmp_path / "sim.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", str(ROOT / "models" / "ar1.ldm"),
+                     "--draws", "30", "--seed", "5", "-o", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: non-finite prior draws")
+    counts = json.loads((tmp_path / "sim.manifest.json").read_text())[
+        "nonfinite_cells"]
+    assert list(counts) == ["y"]
+    assert f"y {counts['y']} of {30 * 300}" in err[0]
+    # inf and empty (NaN) cells read back
+    y = read_table(str(out), ("draw", "t")).column("y")
+    assert counts["y"] == np.count_nonzero(~np.isfinite(y)) > 0
 
 
 def test_sample_needs_data(model_file, capsys):
@@ -176,7 +226,7 @@ def test_sample_end_to_end(model_file, data_file, tmp_path, capsys):
     assert man["data"] == [data_file]
     assert set(man["wall_clock_seconds"]) == {
         "compile", "validate", "graph", "bind", "lower", "compile_gradient",
-        "sample"}
+        "sample", "write"}
     assert man["wall_clock_seconds"]["sample"] > 0
 
 

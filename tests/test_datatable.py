@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -108,6 +110,59 @@ def test_write_csv_cell_text(tmp_path):
     write_csv(t, str(path), float_repr=True)
     assert path.read_text() == ("i,y\n0,0.0\n1,-0.0\n2,3.0\n3,-7.0\n"
                                 "4,9007199254740992.0\n5,0.1\n6,inf\n7,\n")
+
+
+def reference_csv(table, float_repr):
+    """The CSV text that `write_csv` promises, written with csv.writer one
+    row at a time: NaN as an empty cell, whole numbers below 2**53 as
+    integers unless float_repr, every other value as repr."""
+    def cell(v):
+        if v != v:
+            return ""
+        if not float_repr and v.is_integer() and abs(v) < 2**53:
+            return str(int(v))
+        return repr(v)
+
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(list(table.index_names) + list(table.value_names))
+    for r in range(table.n_rows):
+        w.writerow([str(k) for k in table.index_rows[r].tolist()]
+                   + [cell(float(table.columns[n][r]))
+                      for n in table.value_names])
+    return buf.getvalue()
+
+
+def _edge_tables():
+    rng = np.random.default_rng(3)
+    big = [2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53), 2.0**60, 1e300]
+    runs = [1.0, 1.0, math.nan, math.nan, 0.0, -0.0, -0.0, 0.0, 0.0, 5.5]
+    yield "zero rows", make_table(("i",), np.zeros((0, 1)), {"y": []})
+    yield "no index columns", make_table((), [()], {"a": [1.5], "b": [2.0]})
+    yield "one empty cell", make_table((), [()], {"y": [math.nan]})
+    yield "no columns", make_table((), [()], {})
+    yield "inf and -0.0", make_table(
+        ("i",), [[i] for i in range(5)],
+        {"y": [math.inf, -math.inf, -0.0, 0.0, -0.0]})
+    yield "integers at 2**53", make_table(("i",), [[i] for i in range(6)],
+                                          {"y": big})
+    yield "runs", make_table(("i", "j"), [[i // 4, -i] for i in range(10)],
+                             {"y": runs, "z": runs[::-1]})
+    for n in (1023, 1024, 1025):
+        yield f"{n} rows", make_table(
+            ("d", "t"), [[i // 100, i % 100] for i in range(n)],
+            {"const": np.full(n, 0.25), "distinct": rng.normal(size=n),
+             "whole": np.arange(n) % 7 - 3.0})
+
+
+@pytest.mark.parametrize("float_repr", [False, True])
+@pytest.mark.parametrize("name,table", list(_edge_tables()),
+                         ids=[n for n, _ in _edge_tables()])
+def test_write_csv_matches_csv_writer(tmp_path, name, table, float_repr):
+    path = tmp_path / "out.csv"
+    write_csv(table, str(path), float_repr=float_repr)
+    with open(path, newline="") as fh:
+        assert fh.read() == reference_csv(table, float_repr)
 
 
 def test_missing_index_column(tmp_path):

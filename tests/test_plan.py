@@ -14,6 +14,8 @@ from ldmlang.errors import (
     NonFiniteDensityError, UndefinedReferenceError,
 )
 
+from conftest import model_text
+
 EXAMPLE1 = """ProgramName: E1
 b = 1
 s ~ Exp(b)
@@ -366,6 +368,7 @@ def test_prior_simulate_linear_gaussian_dbn_matches_closed_form():
     for _ in range(4):
         mean, cov = A @ mean + c, A @ cov @ A.T + L @ L.T
     plan = pl.compile_model(LINEAR_DBN)
+    assert pl._replicate_axes(plan.graph) == {"n"}   # blocks over n
     out = pl.prior_simulate(plan, np.random.default_rng(21), 4000)
     last = out.column("t") == 4
     z = np.column_stack([out.column("X")[last], out.column("Y")[last]])
@@ -378,6 +381,88 @@ def test_prior_simulate_linear_gaussian_dbn_matches_closed_form():
     d = np.diag(cov)
     se_cov = np.sqrt((np.outer(d, d) + cov ** 2) / n)
     assert np.all(np.abs(np.cov(z.T) - cov) < 4 * se_cov)
+
+
+@pytest.mark.parametrize("name,axes", [
+    ("ar1.ldm", set()), ("ar1_multi.ldm", {"n"}), ("dbn.ldm", {"n"}),
+    ("binomial_logits.ldm", {"i"}), ("multilevel_b.ldm", {"i"}),
+    ("linear_regression.ldm", set())])
+def test_replicate_axes(name, axes):
+    # an axis read with a lag, a literal or a lookup is walked cell by cell
+    graph = pl.build_graph(pl.parse_program(model_text(name)))
+    assert pl._replicate_axes(graph) == axes
+
+
+def test_prior_simulate_draws_blocks_cell_major():
+    # a block's draws come from one call over (cells, draws), so each
+    # cell's draws are consecutive in the RNG stream, as in a cell walk
+    src = """ProgramName: Blocks
+Indices: n 0 2, t 0 3
+mu ~ N(0, 1)
+x[n,t] ~ N(mu, 2)
+"""
+    out = pl.prior_simulate(pl.compile_model(src), np.random.default_rng(9), 5)
+    rng = np.random.default_rng(9)
+    mu = rng.normal(0, 1, 5)
+    x = rng.normal(mu, 2, (12, 5))           # rows are (n, t), row major
+    assert np.array_equal(out.column("mu").reshape(5, 12), np.repeat(
+        mu[:, None], 12, axis=1))
+    assert np.array_equal(out.column("x").reshape(5, 12), x.T)
+
+
+def test_prior_simulate_ar1_multi_residuals_are_standard_normal():
+    # every series of ar1_multi is an AR(1) over t, one block per t over
+    # the replicate axis n: rebuilt from the table, (y[n,t] - a y[n,t-1] -
+    # b) / s is N(0, 1) for each variable
+    plan = pl.compile_model(model_text("ar1_multi.ldm"))
+    draws = 300
+    out = pl.prior_simulate(plan, np.random.default_rng(17), draws)
+    assert out.index_names == ("draw", "n", "t")
+
+    def col(name):
+        return out.column(name).reshape(draws, 10, 38)
+
+    for var, p in (("EM", "e"), ("IM", "i"), ("P", "p"), ("A", "a"),
+                   ("C", "c")):
+        y, a, b, s = col(var), col(f"a_{p}"), col(f"b_{p}"), col(f"s_{p}")
+        mean = a[:, :, 1:] * y[:, :, :-1] + b[:, :, 1:]
+        z = (y[:, :, 1:] - mean) / s[:, :, 1:]
+        # explosive paths lose the residual to cancellation; keeping the
+        # cells whose mean is small against s does not depend on the
+        # residual itself
+        keep = np.abs(mean) < 1e3 * s[:, :, 1:]
+        assert keep.sum() > 10000, var
+        assert st.kstest(z[keep], "norm").pvalue > 1e-3, var
+
+
+def test_prior_simulate_lookup_into_a_walked_variable():
+    # a[tank[i]] gathers rows of a for every i of the block over i
+    src = """ProgramName: Lookup
+Indices: j 0 3, i 0 9, k 0 1
+Inputs: tank, off
+mu ~ N(0, 1)
+a[j] ~ N(mu, 1)
+m[i] = a[tank[i]]
+y[i,k] ~ N(a[tank[i]] + off[k], 0.5)
+"""
+    tank = [3.0, 0.0, 0.0, 2.0, 1.0, 3.0, 3.0, 2.0, 0.0, 1.0]
+    plan = pl.compile_model(src, inputs={"tank": tank, "off": [0.0, 1.0]})
+    assert pl._replicate_axes(plan.graph) == {"i", "k"}
+    draws = 4000
+    out = pl.prior_simulate(plan, np.random.default_rng(5), draws)
+    assert out.index_names == ("draw", "j", "i", "k")
+    shape = (draws, 4, 10, 2)
+    a = out.column("a").reshape(shape)[:, :, 0, 0]
+    m = out.column("m").reshape(shape)[:, 0, :, 0]
+    y = out.column("y").reshape(shape)[:, 0]
+    tank = np.asarray(tank, dtype=int)
+    assert np.array_equal(m, a[:, tank])
+    z = (y - a[:, tank, None] - np.arange(2)) / 0.5
+    assert st.kstest(z.ravel(), "norm").pvalue > 1e-3
+    # a[j] = mu + e_j: variance 2, covariance 1 between any two j
+    cov = np.cov(a.T)
+    assert np.allclose(np.diag(cov), 2.0, atol=0.25)
+    assert np.allclose(cov[np.triu_indices(4, 1)], 1.0, atol=0.2)
 
 
 def test_latent_discrete_sites_are_simulate_only():

@@ -173,6 +173,26 @@ def test_drawset_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.draws, out.draws)  # repr() is lossless
 
 
+def test_drawset_csv_bytes_match_the_row_writer(tmp_path):
+    # to_csv writes through write_csv's blocks; its bytes are those of a
+    # csv.writer fed one row of str(chain), str(draw), repr(value) at a time
+    rng = np.random.default_rng(4)
+    draws = rng.normal(size=(3, 700, 4)) * np.exp(5 * rng.normal(size=4))
+    draws[0, :3, 0] = [math.inf, -0.0, 2.0**60]
+    draws[1, :, 1] = 0.5                          # one run over a chain
+    ds = smp.DrawSet(draws=draws, site_names=["a", "b", "y[3]", "y[4]"],
+                     stats={}, n_warmup=0, seed=0)
+    path = tmp_path / "draws.csv"
+    ds.to_csv(str(path))
+    want = ["chain,draw,a,b,y[3],y[4]"] + [
+        ",".join([str(c), str(d)] + [repr(float(x)) for x in draws[c, d]])
+        for c in range(3) for d in range(700)]
+    assert path.read_bytes() == ("\r\n".join(want) + "\r\n").encode()
+    back = smp.DrawSet.from_csv(str(path))
+    assert back.site_names == ds.site_names
+    assert back.draws.tobytes() == draws.tobytes()
+
+
 def test_from_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("t,y\n0,1.0\n")
