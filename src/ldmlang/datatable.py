@@ -8,8 +8,7 @@ literal "NaN" mean missing. One row per index tuple.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +21,6 @@ class DataTable:
     columns: dict[str, np.ndarray]          # value columns, float64, NaN = missing
     index_rows: np.ndarray                  # (n_rows, n_indices) int64
     path: str | None = None
-    # index tuple -> row, built by the first `get`
-    _row_of: dict[tuple[int, ...], int] = field(default=None, init=False,
-                                                repr=False)
 
     def __post_init__(self):
         rows = self.index_rows
@@ -54,16 +50,6 @@ class DataTable:
         if name in self.index_names:
             return self.index_rows[:, self.index_names.index(name)]
         raise TableError(f"no column named {name!r}")
-
-    def get(self, name: str, key: tuple[int, ...]) -> float:
-        """Value at one index tuple; a missing row reads as NaN."""
-        if self._row_of is None:
-            self._row_of = {tuple(r): i for i, r
-                            in enumerate(self.index_rows.tolist())}
-        row = self._row_of.get(key)
-        if row is None:
-            return math.nan
-        return float(self.columns[name][row])
 
 
 def read_table(path: str, index_names) -> DataTable:

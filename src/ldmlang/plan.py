@@ -17,6 +17,12 @@ latent vector, and both become one generated value-and-gradient program
                  against FUSED, against central differences and, rule by
                  rule, against the NumPy kernels of `distributions`.
 
+Binding (`bind`) records each cell of each variable once, in a cell table
+of three arrays over the variable's flat `VarLayout` grid: its status, its
+observed value (NaN elsewhere) and its governing statement. A data table
+reaches it through one gather from table rows to grid positions. Flat order
+is the index tuples' lexicographic order.
+
 The latent vector layout is shared by both modes: transformed parameters in
 statement topological order, then one slot per missing (imputed) cell in
 (variable, index-tuple) lexicographic order.
@@ -73,6 +79,8 @@ DETERMINISTIC = "DETERMINISTIC"
 
 @dataclass(slots=True)
 class VarLayout:
+    """The flat grid of a variable or an input: one position per index
+    tuple, row major, so flat order is the keys' lexicographic order."""
     var: str
     axes: tuple
     axis_values: tuple          # per axis: tuple of admissible concrete values
@@ -101,37 +109,43 @@ class VarLayout:
         return cls(var=var, axes=tuple(axes), axis_values=tuple(values),
                    strides=tuple(strides), size=size, ord_maps=ord_maps)
 
-    def flat(self, key: tuple[int, ...]) -> int:
-        f = 0
-        for p, k in enumerate(key):
-            f += self.ord_maps[p][int(k)] * self.strides[p]
-        return f
 
-    def keys(self):
-        return list(itertools.product(*self.axis_values))
+def _keys_at(layout: VarLayout, pos) -> list:
+    """The index tuples at flat positions `pos` (a sequence of ints)."""
+    pos = np.asarray(pos, dtype=np.int64)
+    cols = [np.asarray(vals)[pos // stride % len(vals)].tolist()
+            for vals, stride in zip(layout.axis_values, layout.strides)]
+    return list(zip(*cols)) if cols else [()] * len(pos)
+
+
+def _table_column(table: DataTable, name: str, layout: VarLayout):
+    """Column `name` of `table` over the positions of `layout`, NaN where
+    the table has no row: one gather from the rows, whose index columns are
+    matched to the layout's axes by name. Every row lies on the grid, as
+    `resolve_indices` takes the index ranges from the tables."""
+    pos = np.zeros(table.n_rows, dtype=np.int64)
+    for axis, vals, stride in zip(layout.axes, layout.axis_values,
+                                  layout.strides):
+        pos += (table.column(axis) - vals[0]) * stride
+    out = np.full(layout.size, math.nan)
+    out[pos] = table.columns[name]
+    return out
 
 
 # --- bindings -------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class SiteBinding:
-    variable: str
-    key: tuple
-    name: str
-    status: str
-    value: float = math.nan
-    dist: str | None = None
+# a cell's status code in the cell table: an index into STATUSES
+STATUSES = (LATENT_PARAM, OBSERVED, MISSING_IMPUTED, DETERMINISTIC)
+_LATENT, _OBSERVED, _MISSING, _DETERMINISTIC = range(len(STATUSES))
 
 
 @dataclass(slots=True)
 class _Input:
     name: str
-    arity: int
     axes: tuple
     scalar: float | None = None
     array: np.ndarray | None = None      # flat over the input's own grid
-    layout: VarLayout | None = None
+    layout: VarLayout | None = None      # None: indexed by raw value
 
     @property
     def resolved(self) -> bool:
@@ -140,20 +154,37 @@ class _Input:
 
 @dataclass(slots=True)
 class BoundModel:
+    """A graph with its data attached. The cell table holds each cell of
+    each variable once, in three arrays over the variable's `VarLayout`:
+    `status_code` (an index into STATUSES), `observed` (the observed value,
+    NaN elsewhere) and `governor` (the `order` of the governing
+    statement, which is its index in `graph.nodes`)."""
     graph: ModelGraph
     ranges: dict
-    layouts: dict
-    bindings: list
-    status: dict                 # (var, key) -> (status, value)
+    layouts: dict                # var -> VarLayout
+    status_code: dict            # var -> int8 array
+    observed: dict               # var -> float array
+    governor: dict               # var -> int64 array
     inputs: dict                 # name -> _Input
-    obs_vars: tuple
-    node_of: dict                # (var, key) -> governing GraphNode
+
+
+def _positions(bound: BoundModel, node: GraphNode) -> np.ndarray:
+    """Flat positions of `node`'s domain, in domain order."""
+    return np.flatnonzero(bound.governor[node.variable] == node.order)
+
+
+def _governor(bound: BoundModel, var: str, key) -> GraphNode:
+    """The statement that governs `var` at the index values `key`."""
+    pos = _flat_positions(bound.layouts[var], key)
+    return bound.graph.nodes[bound.governor[var][pos]]
 
 
 def _input_axes(graph: ModelGraph):
-    """Unify each input's axis names from its uses (refs and lookups)."""
-    from .frontend.nodes import stmt_exprs, walk_exprs, walk_index_terms
+    """Each input's axis names, unified from its uses (refs and lookups),
+    and the inputs used as lookup tables."""
+    from .frontend.nodes import stmt_exprs, walk_exprs
     axes: dict[str, list] = {}
+    lookups = set()
 
     def note(name, terms):
         slot = axes.setdefault(name, [None] * len(terms))
@@ -171,7 +202,8 @@ def _input_axes(graph: ModelGraph):
             for term in ref.indices:
                 for t in _lookup_terms(term):
                     note(t.input_name, (t.inner,))
-    return {name: tuple(a) for name, a in axes.items()}
+                    lookups.add(t.input_name)
+    return {name: tuple(a) for name, a in axes.items()}, lookups
 
 
 def _lookup_terms(term):
@@ -182,76 +214,50 @@ def _lookup_terms(term):
 
 def bind(graph: ModelGraph, ranges: dict, obs_vars, tables=(),
          inputs: dict | None = None) -> BoundModel:
-    """Attach observations and inputs to the graph's concrete instances."""
-    obs_vars = tuple(obs_vars)
+    """Attach observations and inputs to the graph's cells (see
+    BoundModel). An error names the first offending cell in layout
+    order."""
     layouts = {v: VarLayout.build(v, graph.var_axes[v], graph, ranges)
                for v in graph.var_axes}
-    node_of: dict[tuple, GraphNode] = {}
+    status_code, governor = {}, {}
     for var, nodes in graph.by_var.items():
+        size = layouts[var].size
+        status_code[var] = np.full(size, _LATENT, dtype=np.int8)
+        governor[var] = np.zeros(size, dtype=np.int64)
         for node in nodes:
-            for key in node.domain:
-                node_of[(var, key)] = node
+            if not node.domain:
+                continue            # fully shadowed
+            keys = np.array(node.domain, dtype=np.int64)
+            pos = _flat_positions(layouts[var], list(keys.T))
+            governor[var][pos] = node.order
+            if node.kind == "deterministic":
+                status_code[var][pos] = _DETERMINISTIC
+    observed = {v: np.full(layout.size, math.nan)
+                for v, layout in layouts.items()}
 
     # resolve inputs: explicit dict first, then any table carrying the column
-    from .frontend.nodes import stmt_exprs, walk_exprs
-    input_axes = _input_axes(graph)
-    lookup_inputs = set()
-    for stmt in graph.ast.statements:
-        refs = [stmt.lhs] + [s.ref for e in stmt_exprs(stmt)
-                             for s in walk_exprs(e) if isinstance(s, Ref)]
-        for ref in refs:
-            for term in ref.indices:
-                for t in _lookup_terms(term):
-                    lookup_inputs.add(t.input_name)
-
+    input_axes, lookup_inputs = _input_axes(graph)
     resolved_inputs: dict[str, _Input] = {}
     for name in graph.inputs:
         axes = input_axes.get(name, ())
-        inp = _Input(name=name, arity=len(axes), axes=axes)
+        inp = _Input(name=name, axes=axes)
+        if axes and None not in axes:
+            inp.layout = VarLayout.build(name, axes, graph, ranges)
         supplied = (inputs or {}).get(name)
         if supplied is not None:
-            if np.ndim(supplied) == 0:
-                inp.scalar = _finite_input(name, (), float(supplied))
-            else:
-                inp.array = np.asarray(supplied, dtype=float).ravel()
+            _supply_input(inp, supplied)
         else:
             for table in tables:
                 if name in table.columns:
-                    _fill_input_from_table(inp, table, ranges, graph)
+                    _fill_input_from_table(inp, table)
                     break
-        if inp.array is not None and inp.axes:
-            if any(a is None for a in inp.axes):
-                # indexed by raw value: ordinal = value
-                inp.layout = None
-            else:
-                vals = tuple(tuple(range(*_incl(ranges[a]))) for a in inp.axes)
-                sizes = [len(v) for v in vals]
-                want = int(np.prod(sizes))
-                if inp.array.size != want:
-                    raise BindError(
-                        f"input {name!r} needs {want} values "
-                        f"(grid over {inp.axes}), got {inp.array.size}")
-                strides = [1] * len(vals)
-                for p in range(len(vals) - 2, -1, -1):
-                    strides[p] = strides[p + 1] * sizes[p + 1]
-                inp.layout = VarLayout(
-                    var=name, axes=inp.axes, axis_values=vals,
-                    strides=tuple(strides), size=want,
-                    ord_maps=tuple({v: i for i, v in enumerate(vv)} for vv in vals))
-        if supplied is not None and inp.array is not None:
-            bad = np.flatnonzero(np.isinf(inp.array))
-            if bad.size:
-                i = int(bad[0])
-                _finite_input(name, (i,) if inp.layout is None
-                              else inp.layout.keys()[i], inp.array[i])
-        if inp.resolved and name in lookup_inputs and inp.array is not None:
+        if name in lookup_inputs and inp.array is not None:
             if not np.all(inp.array == np.round(inp.array)):
                 raise BindError(f"input {name!r} is used as a lookup table "
                                 "and must contain integers")
         resolved_inputs[name] = inp
 
     # observation tables: each obs var in exactly one table, matching structure
-    status: dict[tuple, tuple] = {}
     for var in obs_vars:
         if var not in graph.var_axes:
             raise BindError(f"cannot observe {var!r}: not a model variable")
@@ -273,51 +279,28 @@ def bind(graph: ModelGraph, ranges: dict, obs_vars, tables=(),
             raise IndexStructureMismatchError(
                 f"table for {var!r} is indexed by {tuple(table.index_names)}, "
                 f"variable by {tuple(axes)}")
-        perm = [axes.index(n) for n in table.index_names]
-        layout = layouts[var]
-        for key in layout.keys():
-            node = node_of.get((var, key))
-            if node is None:
-                continue
-            tkey = tuple(int(key[p]) for p in perm)
-            value = table.get(var, tkey)
-            if math.isinf(value):
+        values = _table_column(table, var, layouts[var])
+        missing = np.isnan(values)
+        discrete = [n.order for n in graph.by_var[var]
+                    if dist.lookup(n.stmt.dist.name).is_discrete]
+        bad = np.flatnonzero(np.isinf(values)
+                             | (missing & np.isin(governor[var], discrete)))
+        if bad.size:
+            i = int(bad[0])
+            (key,) = _keys_at(layouts[var], [i])
+            if not missing[i]:
                 raise BindError(f"observed value of {instance_name(var, key)} "
-                                f"is {value}; a cell must be finite or "
-                                "missing")
-            if math.isnan(value):
-                spec = dist.lookup(node.stmt.dist.name)
-                if spec.is_discrete:
-                    raise MissingDiscreteUnsupportedError(
-                        f"{instance_name(var, key)} is missing but "
-                        f"{spec.name} has discrete support; discrete cells "
-                        "cannot be imputed")
-                status[(var, key)] = (MISSING_IMPUTED, math.nan)
-            else:
-                status[(var, key)] = (OBSERVED, value)
-
-    bindings: list[SiteBinding] = []
-    order = topo_order(graph)
-    for node in order:
-        for key in node.domain:
-            var = node.variable
-            name = instance_name(var, key)
-            if node.kind == "deterministic":
-                bindings.append(SiteBinding(var, key, name, DETERMINISTIC))
-                status.setdefault((var, key), (DETERMINISTIC, math.nan))
-                continue
-            dname = node.stmt.dist.name
-            st = status.get((var, key))
-            if st is None:
-                status[(var, key)] = (LATENT_PARAM, math.nan)
-                bindings.append(SiteBinding(var, key, name, LATENT_PARAM,
-                                            dist=dname))
-            else:
-                bindings.append(SiteBinding(var, key, name, st[0], st[1],
-                                            dist=dname))
+                                f"is {float(values[i])}; a cell must be "
+                                "finite or missing")
+            spec = dist.lookup(graph.nodes[governor[var][i]].stmt.dist.name)
+            raise MissingDiscreteUnsupportedError(
+                f"{instance_name(var, key)} is missing but {spec.name} has "
+                "discrete support; discrete cells cannot be imputed")
+        status_code[var][:] = np.where(missing, _MISSING, _OBSERVED)
+        observed[var] = values
     return BoundModel(graph=graph, ranges=ranges, layouts=layouts,
-                      bindings=bindings, status=status, inputs=resolved_inputs,
-                      obs_vars=obs_vars, node_of=node_of)
+                      status_code=status_code, observed=observed,
+                      governor=governor, inputs=resolved_inputs)
 
 
 def _incl(bounds):
@@ -325,7 +308,25 @@ def _incl(bounds):
     return lo, hi + 1
 
 
-def _fill_input_from_table(inp: _Input, table: DataTable, ranges, graph) -> None:
+def _supply_input(inp: _Input, supplied) -> None:
+    """An input passed programmatically: a scalar, or an array flat over
+    the input's grid."""
+    if np.ndim(supplied) == 0:
+        inp.scalar = _finite_input(inp.name, (), float(supplied))
+        return
+    inp.array = np.asarray(supplied, dtype=float).ravel()
+    if inp.layout is not None and inp.array.size != inp.layout.size:
+        raise BindError(
+            f"input {inp.name!r} needs {inp.layout.size} values "
+            f"(grid over {inp.axes}), got {inp.array.size}")
+    bad = np.flatnonzero(~np.isfinite(inp.array))
+    if bad.size:
+        i = int(bad[0])
+        key = (i,) if inp.layout is None else _keys_at(inp.layout, [i])[0]
+        _finite_input(inp.name, key, inp.array[i])
+
+
+def _fill_input_from_table(inp: _Input, table: DataTable) -> None:
     if not inp.axes:
         col = table.columns[inp.name]
         finite = col[~np.isnan(col)]
@@ -334,28 +335,27 @@ def _fill_input_from_table(inp: _Input, table: DataTable, ranges, graph) -> None
                             f"value, table has {finite.size}")
         inp.scalar = _finite_input(inp.name, (), float(finite[0]))
         return
-    if any(a is None for a in inp.axes):
+    if inp.layout is None:
         raise BindError(f"input {inp.name!r} has an underdetermined index "
                         "structure; pass it programmatically")
     if set(table.index_names) != set(inp.axes):
         raise IndexStructureMismatchError(
             f"table for input {inp.name!r} is indexed by "
             f"{tuple(table.index_names)}, the input by {tuple(inp.axes)}")
-    perm = [inp.axes.index(n) for n in table.index_names]
-    grids = [range(*_incl(ranges[a])) for a in inp.axes]
-    out = np.empty(int(np.prod([len(g) for g in grids])))
-    for i, key in enumerate(itertools.product(*grids)):
-        tkey = tuple(int(key[p]) for p in perm)
-        v = table.get(inp.name, tkey)
-        if math.isnan(v):
+    values = _table_column(table, inp.name, inp.layout)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        (key,) = _keys_at(inp.layout, [i])
+        if math.isnan(values[i]):
             raise BindError(f"input {inp.name!r} is missing a value at "
                             f"{instance_name(inp.name, key)}")
-        out[i] = _finite_input(inp.name, key, v)
-    inp.array = out
+        _finite_input(inp.name, key, values[i])
+    inp.array = values
 
 
 def _finite_input(name, key, v: float) -> float:
-    if math.isinf(v):
+    if not math.isfinite(v):
         raise BindError(f"input {instance_name(name, key)} is {v}; a cell "
                         "must be finite")
     return v
@@ -376,37 +376,38 @@ class Slot:
 
 
 def build_layout(bound: BoundModel):
-    """Latent slots: parameters in topo order, then imputations lexicographic."""
+    """Latent slots: parameters in topo order, then imputations, the
+    missing cells of each variable in flat order, variables in name
+    order."""
     slots: list[Slot] = []
     simulate_only = False
-    order = topo_order(bound.graph)
-    for node in order:
+    for node in topo_order(bound.graph):
         if node.kind != "stochastic":
             continue
+        var = node.variable
+        latent = bound.status_code[var][_positions(bound, node)] == _LATENT
+        if not latent.any():
+            continue
         spec = dist.lookup(node.stmt.dist.name)
-        for key in node.domain:
-            st, _ = bound.status[(node.variable, key)]
-            if st != LATENT_PARAM:
-                continue
-            if spec.is_discrete:
-                simulate_only = True
-                continue
+        if spec.is_discrete:
+            simulate_only = True
+            continue
+        transform = dist.transform_for(spec.support)
+        for i in np.flatnonzero(latent).tolist():
+            key = node.domain[i]
             slots.append(Slot(
-                name=instance_name(node.variable, key), variable=node.variable,
-                key=key, kind=LATENT_PARAM,
-                transform=dist.transform_for(spec.support),
+                name=instance_name(var, key), variable=var, key=key,
+                kind=LATENT_PARAM, transform=transform, offset=len(slots),
+                dist=spec.name))
+    for var in sorted(bound.status_code):
+        pos = np.flatnonzero(bound.status_code[var] == _MISSING)
+        governors = bound.governor[var][pos].tolist()
+        for key, g in zip(_keys_at(bound.layouts[var], pos), governors):
+            spec = dist.lookup(bound.graph.nodes[g].stmt.dist.name)
+            slots.append(Slot(
+                name=instance_name(var, key), variable=var, key=key,
+                kind=MISSING_IMPUTED, transform=dist.transform_for(spec.support),
                 offset=len(slots), dist=spec.name))
-    imputed = sorted(
-        ((var, key) for (var, key), (st, _) in bound.status.items()
-         if st == MISSING_IMPUTED),
-        key=lambda vk: (vk[0], vk[1]))
-    for var, key in imputed:
-        node = bound.node_of[(var, key)]
-        spec = dist.lookup(node.stmt.dist.name)
-        slots.append(Slot(
-            name=instance_name(var, key), variable=var, key=key,
-            kind=MISSING_IMPUTED, transform=dist.transform_for(spec.support),
-            offset=len(slots), dist=spec.name))
     return slots, simulate_only
 
 
@@ -483,10 +484,10 @@ def _input_positions(inp: _Input, idx_values):
     return pos
 
 
-def _flat_positions(bound: BoundModel, var: str, idx_values):
+def _flat_positions(layout: VarLayout, idx_values):
     """Flat grid position(s) of a variable at the index values of a
     reference (ints, or int arrays); compile-time constant."""
-    layout = bound.layouts[var]
+    var = layout.var
     pos = 0
     vector = False
     for p, v in enumerate(idx_values):
@@ -531,14 +532,6 @@ def _binding_for(node: GraphNode, key):
     column of index values per selector position)."""
     return {axis: k for (kind, axis), k in zip(node.selector, key)
             if kind == "sym"}
-
-
-def _governor(bound: BoundModel, var: str, key: tuple) -> GraphNode:
-    node = bound.node_of.get((var, key))
-    if node is None:
-        raise UndefinedReferenceError(
-            f"{instance_name(var, key)} is not governed by any statement")
-    return node
 
 
 # --- lowering ---------------------------------------------------------------------------
@@ -594,31 +587,28 @@ class _Lowering:
             if all(n.kind == "deterministic" for n in graph.by_var[var]):
                 continue
             mine = by_var.get(var, [])
+            observed = bound.status_code[var] == _OBSERVED
             if not axes:
-                st, val = bound.status.get((var, ()), (None, math.nan))
-                if st == OBSERVED or not mine:
-                    # no slot: a discrete latent of a simulate-only plan
-                    self.values[var] = self.src.const(
-                        val if st == OBSERVED else math.nan)
+                if observed[0] or not mine:
+                    # no slot: a discrete latent of a simulate-only plan,
+                    # whose observed value is NaN
+                    self.values[var] = self.src.const(bound.observed[var][0])
                 else:
                     self.values[var] = self.src.latent(
                         mine[0].offset, mine[0].transform.name)
                 continue
             layout = bound.layouts[var]
-            base = np.zeros(layout.size)
-            for key in layout.keys():
-                st, val = bound.status.get((var, key), (None, math.nan))
-                if st == OBSERVED:
-                    base[layout.flat(key)] = val
+            base = np.where(observed, bound.observed[var], 0.0)
             groups: dict[str, tuple[list, list]] = {}
             for slot in mine:
-                offs, poss = groups.setdefault(slot.transform.name, ([], []))
+                offs, keys = groups.setdefault(slot.transform.name, ([], []))
                 offs.append(slot.offset)
-                poss.append(layout.flat(slot.key))
+                keys.append(slot.key)
             latent = np.zeros(layout.size, dtype=bool)
             puts = []
-            for kind, (offs, poss) in groups.items():
-                poss = np.asarray(poss, dtype=np.int64)
+            for kind, (offs, keys) in groups.items():
+                poss = _flat_positions(layout, [np.asarray(col, dtype=np.int64)
+                                                for col in zip(*keys)])
                 puts.append((poss, self.src.latent(
                     np.asarray(offs, dtype=np.int64), kind)))
                 latent[poss] = True
@@ -665,16 +655,17 @@ class _Lowering:
             return self.src.const(
                 inp.array[_input_positions(inp, idx_values)])
         idx_values = [_term_value(bound, t, km) for t in ref.indices]
+        # checks the range in every mode
+        pos = _flat_positions(bound.layouts[name], idx_values)
         if self.mode == UNROLLED:
-            _flat_positions(bound, name, idx_values)   # checks the range
             return self.at(name, tuple(int(v) for v in idx_values))
         if any(n.kind == "deterministic" for n in bound.graph.by_var[name]):
             if not ref.indices:
-                return self.expr(bound.node_of[(name, ())].stmt.rhs, {})
+                return self.expr(_governor(bound, name, ()).stmt.rhs, {})
             return self.inline_deterministic(name, idx_values)
         if not ref.indices:
             return self.values[name]
-        return self.read(name, _flat_positions(bound, name, idx_values))
+        return self.read(name, pos)
 
     def inline_deterministic(self, var: str, idx_values) -> codegen.Val:
         """FUSED: a deterministic variable at index values `idx_values`
@@ -694,13 +685,13 @@ class _Lowering:
             keys = list(zip(*(c.tolist() for c in cols)))
             return self.src.stack(n, list(enumerate(
                 self.stepwise_cells(var, keys))))
-        rows_of: dict[int, tuple] = {}
-        for i, key in enumerate(zip(*(c.tolist() for c in cols))):
-            node = _governor(self.bound, var, key)
-            rows_of.setdefault(id(node), (node, []))[1].append(i)
-        pieces = [(np.asarray(rows, dtype=np.int64),
-                   self.governed(var, node, [c[rows] for c in cols]))
-                  for node, rows in rows_of.values()]
+        governors = self.bound.governor[var][
+            _flat_positions(self.bound.layouts[var], cols)]
+        pieces = []
+        for g in dict.fromkeys(governors.tolist()):
+            rows = np.flatnonzero(governors == g)
+            pieces.append((rows, self.governed(
+                var, self.bound.graph.nodes[g], [c[rows] for c in cols])))
         if len(pieces) == 1:
             return pieces[0][1]
         return self.src.stack(n, pieces)
@@ -731,35 +722,30 @@ class _Lowering:
         all governed by `node`."""
         if node.kind == "deterministic":
             return self.expr(node.stmt.rhs, _binding_for(node, key))
+        pos = _flat_positions(self.bound.layouts[var], key)
         if self.mode == UNROLLED:
             # a stochastic cell with no slot: observed, or a discrete
             # latent of a simulate-only plan (NaN)
-            return self.src.const(self.bound.status[(var, key)][1])
+            return self.src.const(self.bound.observed[var][pos])
         # mixed stochastic/deterministic variable: read the array
-        layout = self.bound.layouts[var]
-        if isinstance(key, tuple):
-            return self.read(var, layout.flat(key))
-        return self.read(var, np.asarray(
-            [layout.flat(k) for k in zip(*key)], dtype=np.int64))
+        return self.read(var, pos)
 
     def statement(self, node: GraphNode) -> None:
         """FUSED: the term of one stochastic statement over its whole
         domain."""
         var, domain = node.variable, node.domain
-        status = self.bound.status
+        pos = _positions(self.bound, node)
+        status = self.bound.status_code[var][pos]
         indexed = bool(self.bound.graph.var_axes[var])
         if node.n_symbolic == 0:
             (key,) = domain
-            st, _ = status[(var, key)]
             self.blocks.append(ScalarSite(instance_name(var, key), var, key,
-                                          st, node.stmt.dist.name))
-            pos = self.bound.layouts[var].flat(key) if indexed else None
-            km, observed = {}, st == OBSERVED
+                                          STATUSES[status[0]],
+                                          node.stmt.dist.name))
+            pos = int(pos[0]) if indexed else None
+            km, observed = {}, bool(status[0] == _OBSERVED)
         else:
-            layout = self.bound.layouts[var]
-            pos = np.asarray([layout.flat(k) for k in domain], dtype=np.int64)
-            obs = np.flatnonzero([status[(var, k)][0] == OBSERVED
-                                  for k in domain])
+            obs = np.flatnonzero(status == _OBSERVED)
             observed = (len(obs) == len(domain)) \
                 if len(obs) in (0, len(domain)) else obs
             km = _binding_for(node, [np.asarray(col, dtype=np.int64)
@@ -776,8 +762,10 @@ class _Lowering:
             return
         km = _binding_for(node, key)
         params = [self.expr(p, km) for p in node.stmt.dist.params]
-        st, _ = self.bound.status[(node.variable, key)]
-        self.src.term(node.stmt.dist.name, v, params, st == OBSERVED)
+        var = node.variable
+        pos = _flat_positions(self.bound.layouts[var], key)
+        observed = bool(self.bound.status_code[var][pos] == _OBSERVED)
+        self.src.term(node.stmt.dist.name, v, params, observed)
 
 
 def _lower(bound: BoundModel, slots, mode: str):
@@ -814,7 +802,6 @@ class ExecutablePlan:
         self.mode = mode
         self.blocks = blocks            # FUSED: one-site statements
         self.simulate_only = simulate_only
-        self.bindings = bound.bindings
         self._program = program         # codegen.Program
         self._unresolved = unresolved   # an input with no value, or None
         by_transform: dict[object, list] = {}
@@ -839,7 +826,8 @@ class ExecutablePlan:
 
     @property
     def n_observed(self) -> int:
-        return sum(1 for b in self.bindings if b.status == OBSERVED)
+        return sum(int(np.count_nonzero(st == _OBSERVED))
+                   for st in self.bound.status_code.values())
 
     def constrain(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -995,11 +983,9 @@ def prior_simulate(plan: ExecutablePlan, rng: np.random.Generator,
     cols = {}
     for v in out_vars:
         layout = bound.layouts[v]
-        pos = np.zeros(len(grid), dtype=np.int64)
-        for p, axis in enumerate(layout.axes):
-            pos += (grid[:, used.index(axis)]
-                    - layout.axis_values[p][0]) * layout.strides[p]
-        cols[v] = sim.values[v][pos].T.ravel()
+        pos = _flat_positions(layout, [grid[:, used.index(axis)]
+                                       for axis in layout.axes])
+        cols[v] = sim.values[v][np.broadcast_to(pos, len(grid))].T.ravel()
     idx_rows = np.column_stack([np.repeat(np.arange(n_draws), len(grid)),
                                 np.tile(grid, (n_draws, 1))])
     return make_table(["draw"] + used, idx_rows, cols)
@@ -1053,7 +1039,7 @@ class _Simulation:
                 continue
             var = node.variable
             keys = np.array(node.domain, dtype=np.int64)
-            pos = np.atleast_1d(_flat_positions(bound, var, list(keys.T)))
+            pos = _positions(bound, node)
             rep = [p for p, (kind, axis) in enumerate(node.selector)
                    if kind == "sym" and axis in replicate]
             rows_of: dict[tuple, list] = {}
@@ -1104,7 +1090,7 @@ class _Simulation:
             vals = inp.array[_input_positions(inp, idx_values)]
             return vals[:, None] if np.ndim(vals) else float(vals)
         idx_values = [_term_value(bound, t, km) for t in ref.indices]
-        pos = _flat_positions(bound, name, idx_values)   # checks the range
+        pos = _flat_positions(bound.layouts[name], idx_values)
         blocks = self.owner[name][pos]
         if not self.done[blocks].all():
             for b in dict.fromkeys(np.atleast_1d(blocks).tolist()):

@@ -378,19 +378,40 @@ class DrawSet:
 
     @classmethod
     def from_csv(cls, path: str) -> "DrawSet":
+        """Read a file written by `to_csv`. The body is parsed whole; a
+        file that does not parse names its first bad line."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        header = rows[0]
-        if header[:2] != ["chain", "draw"]:
+        if not rows or rows[0][:2] != ["chain", "draw"]:
             raise SamplerError(f"{path}: not a draws file "
                                "(expected chain,draw,... header)")
-        names = header[2:]
-        body = np.array(rows[1:], dtype=float)
+        names = rows[0][2:]
+        try:
+            body = np.array(rows[1:], dtype=float)
+        except ValueError:
+            body = None
+        if body is None or body.shape[1:] != (len(rows[0]),):
+            raise SamplerError(f"{path}: {_first_bad_row(rows)}")
         chain = body[:, 0].astype(np.int64)
         per_chain = [body[chain == c, 2:] for c in np.unique(chain)]
         n_samples = min(len(v) for v in per_chain)
         draws = np.array([v[:n_samples] for v in per_chain])
         return cls(draws=draws, site_names=names, stats={}, n_warmup=0, seed=0)
+
+
+def _first_bad_row(rows) -> str:
+    """What is wrong with the body of a draws file that does not parse: its
+    first row that is not one number per header column, or no row."""
+    width = len(rows[0])
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            return f"line {line} has {len(row)} cells, expected {width}"
+        for cell in row:
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {line}: cell {cell!r} is not a number"
+    return "no draws after the header"
 
 
 def check_all_divergent(divergent: np.ndarray) -> None:

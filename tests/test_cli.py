@@ -341,6 +341,27 @@ def test_manifest_records_workers_gradients_and_memory(
     assert man2["peak_rss_mb"]["workers"] > 0
 
 
+def test_gradient_shadowed_on_the_plan_writes_the_same_draws(
+        monkeypatch, model_file, data_file, tmp_path):
+    # a wrapper set as `plan.logdensity_and_grad` on the plan instance, as
+    # a profiler counting gradients sets it, reaches the forked chain
+    # workers and changes nothing they write
+    plain = tmp_path / "plain.csv"
+    assert main(sample_args(model_file, data_file, str(plain))) == 0
+    compile_model = cli.compile_model
+
+    def shadowing(*args, **kwargs):
+        plan = compile_model(*args, **kwargs)
+        inner = plan.logdensity_and_grad
+        plan.logdensity_and_grad = lambda u: inner(u)
+        return plan
+
+    monkeypatch.setattr(cli, "compile_model", shadowing)
+    shadowed = tmp_path / "shadowed.csv"
+    assert main(sample_args(model_file, data_file, str(shadowed))) == 0
+    assert shadowed.read_bytes() == plain.read_bytes()
+
+
 WORKER_HYGIENE = """\
 import atexit, os, sys
 from ldmlang import sampler
@@ -394,6 +415,28 @@ def test_summary_of_draws(model_file, data_file, tmp_path, capsys):
 def test_summary_rejects_non_draws_csv(data_file, capsys):
     assert main(["summary", data_file]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, problem", [
+    pytest.param("chain,draw,a\n0,0,1.5\n0,1,\n",
+                 "line 3: cell '' is not a number", id="empty cell"),
+    pytest.param("chain,draw,a\n0,0,1.5\n0,1,x\n",
+                 "line 3: cell 'x' is not a number", id="non-numeric cell"),
+    pytest.param("chain,draw,a\n0,0,1.5\n0,1\n0,2,2.5\n",
+                 "line 3 has 2 cells, expected 3", id="ragged row"),
+    pytest.param("chain,draw,a\n", "no draws after the header",
+                 id="header only"),
+    pytest.param("", "not a draws file (expected chain,draw,... header)",
+                 id="empty file"),
+])
+def test_summary_of_a_malformed_draws_file_is_one_error_line(
+        tmp_path, capsys, body, problem):
+    draws = tmp_path / "draws.csv"
+    draws.write_text(body)
+    assert main(["summary", str(draws)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == f"error: {draws}: {problem}"
 
 
 def test_ic_reports_criteria(model_file, data_file, tmp_path, capsys):

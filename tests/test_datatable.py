@@ -33,13 +33,6 @@ def test_missing_cells_become_nan(tmp_path):
     assert y[0] == 1.0
 
 
-def test_get_by_key(tmp_path):
-    path = write(tmp_path, "n,t,y\n0,0,1.0\n0,1,2.0\n1,0,3.0\n")
-    t = read_table(path, ["n", "t"])
-    assert t.get("y", (1, 0)) == 3.0
-    assert math.isnan(t.get("y", (5, 5)))  # absent row reads as missing
-
-
 def test_unparseable_cell(tmp_path):
     path = write(tmp_path, "t,y\n0,1.0\n1,oops\n")
     with pytest.raises(UnparseableCellError) as exc:
@@ -80,13 +73,6 @@ def test_duplicate_index_tuple_names_the_first_repeat():
         make_table(("n", "t"), rows, {"y": np.zeros(5)})
     with pytest.raises(DuplicateIndexTupleError, match=r"index tuple \(\)$"):
         make_table((), [(), ()], {"y": [1.0, 2.0]})
-
-
-def test_row_map_is_built_by_the_first_get():
-    t = make_table(("t",), [[2], [0]], {"y": [5.0, 6.0]})
-    assert t._row_of is None
-    assert t.get("y", (0,)) == 6.0
-    assert t._row_of == {(2,): 0, (0,): 1}
 
 
 def test_write_csv_blocks_join_seamlessly(tmp_path, monkeypatch):

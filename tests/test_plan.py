@@ -78,6 +78,40 @@ def test_missing_cells_become_latent_slots():
     assert [s.offset for s in imputed] == list(range(3, 3 + len(missing)))
 
 
+PANEL_AR1 = """ProgramName: PanelAR1
+Indices: n 0 2, t 0 4
+a ~ N(0, 1)
+s ~ HalfNormal(1)
+y[n,0] ~ N(0, 1)
+y[n,t] ~ N(a * y[n,t-1], s)
+"""
+
+
+def test_table_binds_by_index_names_whatever_the_row_and_column_order():
+    # the table for y[n,t] as (t, n) columns, its rows shuffled and the
+    # missing cells' rows left out, binds as the sorted (n, t) table with
+    # NaN cells; read by column position instead, its t values 3 and 4
+    # would fall outside n's range and its cells land on the wrong keys
+    rng = np.random.default_rng(12)
+    keys = list(itertools.product(range(3), range(5)))
+    y = rng.normal(size=len(keys))
+    y[[2, 6, 13]] = np.nan
+    full = make_table(("n", "t"), keys, {"y": y})
+    rows = rng.permutation(np.flatnonzero(~np.isnan(y)))
+    sparse = make_table(("t", "n"), [keys[i][::-1] for i in rows],
+                        {"y": y[rows]})
+    plans = [pl.compile_model(PANEL_AR1, tables=(t,), obs=("y",))
+             for t in (full, sparse)]
+    a, b = plans
+    assert a.site_names == b.site_names == ["a", "s", "y[0,2]", "y[1,1]",
+                                            "y[2,3]"]
+    assert [s.kind for s in a.slots] == [s.kind for s in b.slots]
+    assert a.n_observed == b.n_observed == len(keys) - 3
+    for seed in range(3):
+        u = np.random.default_rng(seed).normal(size=a.latent_dim)
+        assert a.logdensity(u) == b.logdensity(u)
+
+
 def test_fully_observed_data_leaves_only_parameters():
     plan = pl.compile_model(AR1_SMALL, tables=(ar1_table(),), obs=("y",))
     assert plan.latent_dim == 3
@@ -549,14 +583,15 @@ y[i] ~ N(a * x[i], 1)
         pl.compile_model(src, tables=(table,), obs=("y",))
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_infinite_scalar_input_is_rejected_at_bind(value):
     src = "ProgramName: M\nInputs: x\na ~ N(0, 1)\ny ~ N(a * x, 1)\n"
-    with pytest.raises(BindError, match=r"input x is -?inf"):
+    with pytest.raises(BindError,
+                       match=rf"^input x is {value}; a cell must be finite$"):
         pl.compile_model(src, inputs={"x": value})
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_infinite_array_input_is_rejected_at_bind(value):
     src = """ProgramName: M
 Indices: i 0 3
@@ -564,7 +599,9 @@ Inputs: x
 a ~ N(0, 1)
 y[i] ~ N(a * x[i], 1)
 """
-    with pytest.raises(BindError, match=r"input x\[2\] is -?inf"):
+    with pytest.raises(BindError,
+                       match=rf"^input x\[2\] is {value}; a cell must be "
+                             "finite$"):
         pl.compile_model(src, inputs={"x": [0.5, 1.0, value, 2.0]})
 
 
