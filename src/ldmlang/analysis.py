@@ -146,17 +146,15 @@ def extract_imputations(plan, drawset) -> dict:
 
     Each value is the flattened (chains x draws) series for one imputed
     scalar cell; parameter sites are not included."""
-    imputed = [(i, s.name) for i, s in enumerate(plan.slots)
-               if s.kind == MISSING_IMPUTED]
+    names = plan.site_names
+    imputed = [names[i] for run in plan.runs if run.kind == MISSING_IMPUTED
+               for i in run.offsets.tolist()]
     if not imputed:
         raise NoImputedSitesError(
             "model run had no missing cells to impute")
     name_to_col = {n: k for k, n in enumerate(drawset.site_names)}
-    out = {}
-    for _, name in imputed:
-        col = name_to_col[name]
-        out[name] = drawset.draws[:, :, col].reshape(-1).copy()
-    return out
+    return {name: drawset.draws[:, :, name_to_col[name]].reshape(-1).copy()
+            for name in imputed}
 
 
 @dataclass(frozen=True)

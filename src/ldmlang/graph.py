@@ -5,9 +5,12 @@ Responsibilities:
     required when both exist),
   * unify each variable's axis names across its occurrences,
   * record dependency edges with per-axis lag information,
+  * lay each variable out on one flat, row-major grid (`VarLayout`, shared
+    with binding and lowering),
   * compute governed domains with shadowing (explicit statements beat generic
     ones at their concrete tuples) and lag restriction (a statement reading
-    x[t-d] starts at lo+d),
+    x[t-d] starts at lo+d), as one mask per statement over the grid; a
+    node's domain is an int64 (cells, axes) array of index tuples,
   * produce a deterministic topological statement order, and
   * classify temporal structure per index (IID / RECURRENCE / DBN / GENERAL).
 """
@@ -15,8 +18,10 @@ Responsibilities:
 from __future__ import annotations
 
 import heapq
-import itertools
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     CycleDetectedError, MissingIndexRangeError, OverlappingDefinitionsError,
@@ -64,7 +69,7 @@ class GraphNode:
     selector: tuple                    # per axis ("sym", name) | ("fixed", int)
     deps: list[DepEdge] = field(default_factory=list)
     lag_by_axis: dict[str, int] = field(default_factory=dict)
-    domain: list[tuple[int, ...]] = field(default_factory=list)
+    domain: np.ndarray | None = None   # (cells, axes) int64 keys, flat order
 
     @property
     def n_symbolic(self) -> int:
@@ -100,6 +105,7 @@ class ModelGraph:
     by_var: dict[str, list[GraphNode]]
     var_axes: dict[str, tuple[str | None, ...]]
     inputs: tuple[str, ...]
+    layouts: dict = field(default_factory=dict)    # var -> VarLayout
 
     def variables(self) -> tuple[str, ...]:
         return tuple(self.by_var.keys())
@@ -258,85 +264,102 @@ def _collect_deps(node: GraphNode, stmt: Stmt, variables, inputs, var_axes) -> N
                     node.lag_by_axis[axis] = lag
 
 
-# --- domains and coverage ---------------------------------------------------------
+# --- variable grids and domains ---------------------------------------------------
 
 
-def var_grid(graph: ModelGraph, var: str,
-             ranges: dict[str, tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Every concrete instance of `var`, row major over its axes."""
-    axes = graph.var_axes[var]
-    if not axes:
-        return [()]
-    spans = []
-    for p, axis in enumerate(axes):
-        if axis is not None:
-            if axis not in ranges:
+@dataclass(slots=True)
+class VarLayout:
+    """The flat grid of a variable or an input: one position per index
+    tuple, row major, so flat order is the keys' lexicographic order. An
+    axis named None (only ever written with literals) takes the literals
+    the variable's statements use."""
+    var: str
+    axes: tuple
+    axis_values: tuple          # per axis: int64 array of its values, ascending
+    strides: tuple
+    size: int
+    ord_maps: tuple             # per axis: value -> ordinal
+
+    @classmethod
+    def build(cls, var, axes, graph: ModelGraph, ranges) -> "VarLayout":
+        values = []
+        for p, axis in enumerate(axes):
+            if axis is None:
+                values.append(np.array(sorted({
+                    node.selector[p][1] for node in graph.by_var[var]
+                    if node.selector[p][0] == "fixed"}), dtype=np.int64))
+            elif axis in ranges:
+                values.append(np.arange(ranges[axis][0], ranges[axis][1] + 1))
+            else:
                 raise MissingIndexRangeError(f"index {axis!r} has no resolved range")
-            lo, hi = ranges[axis]
-            spans.append(range(lo, hi + 1))
-        else:
-            vals = sorted({sel[1] for node in graph.by_var[var]
-                           for sel in [node.selector[p]] if sel[0] == "fixed"})
-            spans.append(vals)
-    return list(itertools.product(*spans))
+        sizes = [len(v) for v in values]
+        return cls(var=var, axes=tuple(axes), axis_values=tuple(values),
+                   strides=tuple(math.prod(sizes[p + 1:])
+                                 for p in range(len(sizes))),
+                   size=math.prod(sizes),
+                   ord_maps=tuple({v: i for i, v in enumerate(vals.tolist())}
+                                  for vals in values))
 
-
-def node_candidates(node: GraphNode, ranges) -> list[tuple[int, ...]]:
-    """Tuples a node could govern: fixed axes pinned, symbolic axes lag restricted."""
-    spans = []
-    for kind, val in node.selector:
-        if kind == "fixed":
-            spans.append((val,))
-        else:
-            lo, hi = ranges[val]
-            lo += node.lag_by_axis.get(val, 0)
-            spans.append(range(lo, hi + 1))
-    return list(itertools.product(*spans))
+    def keys(self, pos) -> np.ndarray:
+        """The index tuples at flat positions `pos`, one int64 row each."""
+        pos = np.asarray(pos, dtype=np.int64)
+        out = np.empty((len(pos), len(self.axes)), dtype=np.int64)
+        for p, (vals, stride) in enumerate(zip(self.axis_values, self.strides)):
+            out[:, p] = vals[pos // stride % len(vals)]
+        return out
 
 
 def assign_domains(graph: ModelGraph, ranges: dict[str, tuple[int, int]]) -> None:
-    """Fill node.domain so every instance is governed exactly once.
+    """Fill graph.layouts, and each node.domain so that every cell is
+    governed exactly once.
 
-    Explicit statements shadow generic ones at their tuples; equal-specificity
-    overlap is an error, as is any uncovered instance.
+    Each statement claims one mask over its variable's grid: a fixed
+    selector matches its value, a symbolic one the values from lo + lag
+    up. Explicit statements (more fixed selectors) shadow generic ones;
+    equal-specificity overlap is an error, as is an uncovered cell. A
+    domain is the int64 (cells, axes) array of the governed keys in flat
+    order; a fully shadowed statement gets no rows.
     """
     for var, nodes in graph.by_var.items():
-        grid = var_grid(graph, var, ranges)
-        grid_set = set(grid)
+        layout = VarLayout.build(var, graph.var_axes[var], graph, ranges)
+        graph.layouts[var] = layout
+        masks = []
         for node in nodes:
-            for key in node_candidates(node, ranges):
-                if key not in grid_set:
-                    raise UndefinedReferenceError(
-                        f"{instance_name(var, key)} lies outside the declared range")
-        claims: dict[tuple[int, ...], GraphNode] = {}
-        for key in grid:
-            matches = [n for n in nodes if _matches(n, key, ranges)]
-            if not matches:
+            first = [val if kind == "fixed"
+                     else ranges[val][0] + node.lag_by_axis.get(val, 0)
+                     for kind, val in node.selector]
+            # a node that claims any key claims its first; off the grid
+            # that one is, if any is
+            if all(k <= ranges[val][1] for (kind, val), k
+                   in zip(node.selector, first) if kind == "sym") and any(
+                       k not in om for k, om in zip(first, layout.ord_maps)):
                 raise UndefinedReferenceError(
-                    f"{instance_name(var, key)} is not governed by any statement"
+                    f"{instance_name(var, tuple(first))} lies outside the "
+                    "declared range")
+            mask = np.ones((), dtype=bool)
+            for (kind, _), k, vals in zip(node.selector, first,
+                                          layout.axis_values):
+                mask = np.logical_and.outer(
+                    mask, vals == k if kind == "fixed" else vals >= k)
+            masks.append(mask.ravel())
+        # (nodes, cells): each node's claims at the best claiming specificity
+        specificity = np.array([[len(n.selector) - n.n_symbolic] for n in nodes])
+        level = np.where(masks, specificity, -1)
+        wins = np.logical_and(masks, level == level.max(axis=0))
+        bad = np.flatnonzero(wins.sum(axis=0) != 1)
+        if bad.size:
+            i = int(bad[0])
+            name = instance_name(var, tuple(layout.keys([i])[0].tolist()))
+            names = [n.describe() for n, w in zip(nodes, wins[:, i]) if w]
+            if not names:
+                raise UndefinedReferenceError(
+                    f"{name} is not governed by any statement"
                     " (missing base case?)")
-            top = max(len(n.selector) - n.n_symbolic for n in matches)
-            winners = [n for n in matches if len(n.selector) - n.n_symbolic == top]
-            if len(winners) > 1:
-                names = " and ".join(w.describe() for w in winners)
-                raise OverlappingDefinitionsError(
-                    f"{instance_name(var, key)} is governed by both {names}")
-            claims[key] = winners[0]
-        for node in nodes:
-            # a fully shadowed statement is left with an empty domain
-            node.domain = [k for k in grid if claims[k] is node]
-
-
-def _matches(node: GraphNode, key: tuple[int, ...], ranges) -> bool:
-    for (kind, val), k in zip(node.selector, key):
-        if kind == "fixed":
-            if k != val:
-                return False
-        else:
-            lo, _ = ranges[val]
-            if k < lo + node.lag_by_axis.get(val, 0):
-                return False
-    return True
+            raise OverlappingDefinitionsError(
+                f"{name} is governed by both {' and '.join(names)}")
+        winner = wins.argmax(axis=0)
+        for j, node in enumerate(nodes):
+            node.domain = layout.keys(np.flatnonzero(winner == j))
 
 
 # --- topological order -------------------------------------------------------------

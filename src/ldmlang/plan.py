@@ -19,13 +19,18 @@ latent vector, and both become one generated value-and-gradient program
 
 Binding (`bind`) records each cell of each variable once, in a cell table
 of three arrays over the variable's flat `VarLayout` grid: its status, its
-observed value (NaN elsewhere) and its governing statement. A data table
-reaches it through one gather from table rows to grid positions. Flat order
-is the index tuples' lexicographic order.
+observed value (NaN elsewhere) and its governing statement, filled from
+the statements' array domains. A data table reaches it through one gather
+from table rows to grid positions. Flat order is the index tuples'
+lexicographic order.
 
 The latent vector layout is shared by both modes: transformed parameters in
 statement topological order, then one slot per missing (imputed) cell in
-(variable, index-tuple) lexicographic order.
+(variable, index-tuple) lexicographic order. It is columnar: a list of
+`SlotRun`s, each a run of consecutive offsets over one variable's flat
+positions with one kind, distribution and transform. Site names and the
+per-slot `Slot` list are built from the runs only when asked for; FUSED
+compilation and prior simulation never ask.
 
 Prior simulation (`prior_simulate`) walks blocks of cells in UNROLLED order:
 statements in topological order, each statement's blocks in domain order,
@@ -37,8 +42,8 @@ but their own bare index.
 
 from __future__ import annotations
 
+import functools
 import gc
-import itertools
 import math
 import operator
 import time
@@ -61,8 +66,8 @@ from .frontend.nodes import (
 from .frontend.parser import parse_program
 from .frontend.validate import validate
 from .graph import (
-    GraphNode, ModelGraph, assign_domains, build_graph, instance_name,
-    resolve_indices, topo_order,
+    GraphNode, ModelGraph, VarLayout, assign_domains, build_graph,
+    instance_name, resolve_indices, topo_order,
 )
 
 FUSED = "FUSED"
@@ -77,45 +82,9 @@ DETERMINISTIC = "DETERMINISTIC"
 # --- variable layouts ---------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class VarLayout:
-    """The flat grid of a variable or an input: one position per index
-    tuple, row major, so flat order is the keys' lexicographic order."""
-    var: str
-    axes: tuple
-    axis_values: tuple          # per axis: tuple of admissible concrete values
-    strides: tuple
-    size: int
-    ord_maps: tuple             # per axis: value -> ordinal
-
-    @classmethod
-    def build(cls, var, axes, graph, ranges) -> "VarLayout":
-        values = []
-        for p, axis in enumerate(axes):
-            if axis is not None:
-                lo, hi = ranges[axis]
-                values.append(tuple(range(lo, hi + 1)))
-            else:
-                vals = sorted({sel[1] for node in graph.by_var[var]
-                               for sel in [node.selector[p]] if sel[0] == "fixed"})
-                values.append(tuple(vals))
-        strides = [1] * len(values)
-        for p in range(len(values) - 2, -1, -1):
-            strides[p] = strides[p + 1] * len(values[p + 1])
-        size = 1
-        for v in values:
-            size *= len(v)
-        ord_maps = tuple({v: i for i, v in enumerate(vals)} for vals in values)
-        return cls(var=var, axes=tuple(axes), axis_values=tuple(values),
-                   strides=tuple(strides), size=size, ord_maps=ord_maps)
-
-
-def _keys_at(layout: VarLayout, pos) -> list:
-    """The index tuples at flat positions `pos` (a sequence of ints)."""
-    pos = np.asarray(pos, dtype=np.int64)
-    cols = [np.asarray(vals)[pos // stride % len(vals)].tolist()
-            for vals, stride in zip(layout.axis_values, layout.strides)]
-    return list(zip(*cols)) if cols else [()] * len(pos)
+def _key_at(layout: VarLayout, i: int) -> tuple:
+    """The index tuple at flat position `i`."""
+    return tuple(layout.keys([i])[0].tolist())
 
 
 def _table_column(table: DataTable, name: str, layout: VarLayout):
@@ -217,18 +186,14 @@ def bind(graph: ModelGraph, ranges: dict, obs_vars, tables=(),
     """Attach observations and inputs to the graph's cells (see
     BoundModel). An error names the first offending cell in layout
     order."""
-    layouts = {v: VarLayout.build(v, graph.var_axes[v], graph, ranges)
-               for v in graph.var_axes}
+    layouts = graph.layouts
     status_code, governor = {}, {}
     for var, nodes in graph.by_var.items():
         size = layouts[var].size
         status_code[var] = np.full(size, _LATENT, dtype=np.int8)
         governor[var] = np.zeros(size, dtype=np.int64)
         for node in nodes:
-            if not node.domain:
-                continue            # fully shadowed
-            keys = np.array(node.domain, dtype=np.int64)
-            pos = _flat_positions(layouts[var], list(keys.T))
+            pos = _flat_positions(layouts[var], list(node.domain.T))
             governor[var][pos] = node.order
             if node.kind == "deterministic":
                 status_code[var][pos] = _DETERMINISTIC
@@ -287,7 +252,7 @@ def bind(graph: ModelGraph, ranges: dict, obs_vars, tables=(),
                              | (missing & np.isin(governor[var], discrete)))
         if bad.size:
             i = int(bad[0])
-            (key,) = _keys_at(layouts[var], [i])
+            key = _key_at(layouts[var], i)
             if not missing[i]:
                 raise BindError(f"observed value of {instance_name(var, key)} "
                                 f"is {float(values[i])}; a cell must be "
@@ -303,15 +268,15 @@ def bind(graph: ModelGraph, ranges: dict, obs_vars, tables=(),
                       governor=governor, inputs=resolved_inputs)
 
 
-def _incl(bounds):
-    lo, hi = bounds
-    return lo, hi + 1
-
-
 def _supply_input(inp: _Input, supplied) -> None:
     """An input passed programmatically: a scalar, or an array flat over
     the input's grid."""
     if np.ndim(supplied) == 0:
+        if inp.axes:
+            need = (f"{inp.layout.size} values" if inp.layout is not None
+                    else "an array of values")
+            raise BindError(f"input {inp.name!r} is indexed by {inp.axes} "
+                            f"and needs {need}, got a scalar")
         inp.scalar = _finite_input(inp.name, (), float(supplied))
         return
     inp.array = np.asarray(supplied, dtype=float).ravel()
@@ -322,7 +287,7 @@ def _supply_input(inp: _Input, supplied) -> None:
     bad = np.flatnonzero(~np.isfinite(inp.array))
     if bad.size:
         i = int(bad[0])
-        key = (i,) if inp.layout is None else _keys_at(inp.layout, [i])[0]
+        key = (i,) if inp.layout is None else _key_at(inp.layout, i)
         _finite_input(inp.name, key, inp.array[i])
 
 
@@ -346,7 +311,7 @@ def _fill_input_from_table(inp: _Input, table: DataTable) -> None:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
-        (key,) = _keys_at(inp.layout, [i])
+        key = _key_at(inp.layout, i)
         if math.isnan(values[i]):
             raise BindError(f"input {inp.name!r} is missing a value at "
                             f"{instance_name(inp.name, key)}")
@@ -366,6 +331,7 @@ def _finite_input(name, key, v: float) -> float:
 
 @dataclass(frozen=True)
 class Slot:
+    """One latent slot, as `ExecutablePlan.slots` lists them."""
     name: str
     variable: str
     key: tuple
@@ -375,40 +341,63 @@ class Slot:
     dist: str
 
 
+@dataclass(slots=True)
+class SlotRun:
+    """Latent slots offset, offset + 1, ...: one per cell of `variable`
+    at the flat positions `pos`, all of one kind, distribution and
+    transform."""
+    variable: str
+    pos: np.ndarray
+    offset: int
+    kind: str                    # LATENT_PARAM | MISSING_IMPUTED
+    transform: object
+    dist: str
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.arange(self.offset, self.offset + len(self.pos))
+
+
+def _run_keys(bound: BoundModel, run: SlotRun) -> list:
+    """The index tuples of a run's cells."""
+    return list(map(tuple, bound.layouts[run.variable].keys(run.pos).tolist()))
+
+
 def build_layout(bound: BoundModel):
-    """Latent slots: parameters in topo order, then imputations, the
-    missing cells of each variable in flat order, variables in name
-    order."""
-    slots: list[Slot] = []
+    """The latent layout as runs of slots: parameters in topo order, one run
+    per statement with latent cells (in domain order), then imputations,
+    the missing cells of each variable in flat order, variables in name
+    order, a new run wherever the governing statement changes."""
+    runs: list[SlotRun] = []
+    offset = 0
+
+    def add(var, pos, kind, spec):
+        nonlocal offset
+        runs.append(SlotRun(var, pos, offset, kind,
+                            dist.transform_for(spec.support), spec.name))
+        offset += len(pos)
+
     simulate_only = False
     for node in topo_order(bound.graph):
         if node.kind != "stochastic":
             continue
-        var = node.variable
-        latent = bound.status_code[var][_positions(bound, node)] == _LATENT
-        if not latent.any():
+        pos = _positions(bound, node)
+        pos = pos[bound.status_code[node.variable][pos] == _LATENT]
+        if not pos.size:
             continue
         spec = dist.lookup(node.stmt.dist.name)
         if spec.is_discrete:
             simulate_only = True
             continue
-        transform = dist.transform_for(spec.support)
-        for i in np.flatnonzero(latent).tolist():
-            key = node.domain[i]
-            slots.append(Slot(
-                name=instance_name(var, key), variable=var, key=key,
-                kind=LATENT_PARAM, transform=transform, offset=len(slots),
-                dist=spec.name))
+        add(node.variable, pos, LATENT_PARAM, spec)
     for var in sorted(bound.status_code):
         pos = np.flatnonzero(bound.status_code[var] == _MISSING)
-        governors = bound.governor[var][pos].tolist()
-        for key, g in zip(_keys_at(bound.layouts[var], pos), governors):
-            spec = dist.lookup(bound.graph.nodes[g].stmt.dist.name)
-            slots.append(Slot(
-                name=instance_name(var, key), variable=var, key=key,
-                kind=MISSING_IMPUTED, transform=dist.transform_for(spec.support),
-                offset=len(slots), dist=spec.name))
-    return slots, simulate_only
+        governors = bound.governor[var][pos]
+        for run in np.split(pos, np.flatnonzero(np.diff(governors)) + 1):
+            if run.size:
+                node = bound.graph.nodes[bound.governor[var][run[0]]]
+                add(var, run, MISSING_IMPUTED, dist.lookup(node.stmt.dist.name))
+    return runs, simulate_only
 
 
 # --- scalar sites --------------------------------------------------------------------
@@ -469,7 +458,7 @@ def _input_positions(inp: _Input, idx_values):
     vector = any(isinstance(v, np.ndarray) for v in idx_values)
     for p, v in enumerate(idx_values):
         if inp.layout is not None:
-            lo = inp.layout.axis_values[p][0]
+            lo = int(inp.layout.axis_values[p][0])
             extent = len(inp.layout.axis_values[p])
             stride = inp.layout.strides[p]
             o = np.asarray(v) - lo if vector else int(v) - lo
@@ -493,19 +482,12 @@ def _flat_positions(layout: VarLayout, idx_values):
     for p, v in enumerate(idx_values):
         if isinstance(v, np.ndarray):
             vector = True
-            vals = np.asarray(v)
-            om = layout.ord_maps[p]
-            base = layout.axis_values[p][0]
-            contiguous = layout.axis_values[p] == tuple(
-                range(base, base + len(layout.axis_values[p])))
-            if contiguous:
-                o = vals - base
-            else:
-                o = np.array([om.get(int(x), -1) for x in vals])
-            outside = (o < 0) | (o >= len(layout.axis_values[p]))
+            axis_values = layout.axis_values[p]
+            o = np.searchsorted(axis_values, v)
+            outside = axis_values[np.minimum(o, len(axis_values) - 1)] != v
             if outside.any():
                 raise _outside(var, len(idx_values),
-                               int(vals[outside.argmax()]))
+                               int(v[outside.argmax()]))
             pos = pos + o * layout.strides[p]
         else:
             om = layout.ord_maps[p]
@@ -557,17 +539,18 @@ class _Lowering:
     value. `cells` holds the values made so far, keyed by (variable, key),
     so that each is made once."""
 
-    def __init__(self, bound: BoundModel, slots, mode: str):
+    def __init__(self, bound: BoundModel, runs, mode: str):
         self.bound = bound
-        self.src = codegen.Source(len(slots))
+        self.src = codegen.Source(sum(len(run.pos) for run in runs))
         self.mode = mode
         self.order = topo_order(bound.graph)
         self.blocks = []
         self.cells = {}
         if mode == UNROLLED:
-            for slot in slots:
-                self.cells[(slot.variable, slot.key)] = self.src.latent(
-                    slot.offset, slot.transform.name)
+            for run in runs:
+                for i, key in enumerate(_run_keys(bound, run)):
+                    self.cells[(run.variable, key)] = self.src.latent(
+                        run.offset + i, run.transform.name)
             return
         graph = bound.graph
         deterministic = {n.variable for n in graph.nodes
@@ -581,8 +564,8 @@ class _Lowering:
         # base, latent-cell mask) of an indexed one
         self.values = {}
         by_var: dict[str, list] = {}
-        for slot in slots:
-            by_var.setdefault(slot.variable, []).append(slot)
+        for run in runs:
+            by_var.setdefault(run.variable, []).append(run)
         for var, axes in graph.var_axes.items():
             if all(n.kind == "deterministic" for n in graph.by_var[var]):
                 continue
@@ -597,20 +580,17 @@ class _Lowering:
                     self.values[var] = self.src.latent(
                         mine[0].offset, mine[0].transform.name)
                 continue
-            layout = bound.layouts[var]
             base = np.where(observed, bound.observed[var], 0.0)
-            groups: dict[str, tuple[list, list]] = {}
-            for slot in mine:
-                offs, keys = groups.setdefault(slot.transform.name, ([], []))
-                offs.append(slot.offset)
-                keys.append(slot.key)
-            latent = np.zeros(layout.size, dtype=bool)
+            # the variable's slots grouped by transform, in offset order
+            groups: dict[str, list] = {}
+            for run in mine:
+                groups.setdefault(run.transform.name, []).append(run)
+            latent = np.zeros(len(base), dtype=bool)
             puts = []
-            for kind, (offs, keys) in groups.items():
-                poss = _flat_positions(layout, [np.asarray(col, dtype=np.int64)
-                                                for col in zip(*keys)])
-                puts.append((poss, self.src.latent(
-                    np.asarray(offs, dtype=np.int64), kind)))
+            for kind, group in groups.items():
+                poss = np.concatenate([run.pos for run in group])
+                offs = np.concatenate([run.offsets for run in group])
+                puts.append((poss, self.src.latent(offs, kind)))
                 latent[poss] = True
             arr = self.src.assemble(base, puts) if puts else None
             self.values[var] = (arr, base, latent)
@@ -705,8 +685,8 @@ class _Lowering:
             self.filled.add(var)
             for node in self.order:
                 if node.variable == var and node.kind == "deterministic":
-                    for key in node.domain:
-                        self.at(var, key)
+                    for key in node.domain.tolist():
+                        self.at(var, tuple(key))
         return [self.at(var, key) for key in keys]
 
     def at(self, var: str, key: tuple) -> codegen.Val:
@@ -738,7 +718,7 @@ class _Lowering:
         status = self.bound.status_code[var][pos]
         indexed = bool(self.bound.graph.var_axes[var])
         if node.n_symbolic == 0:
-            (key,) = domain
+            key = tuple(domain[0].tolist())
             self.blocks.append(ScalarSite(instance_name(var, key), var, key,
                                           STATUSES[status[0]],
                                           node.stmt.dist.name))
@@ -748,8 +728,7 @@ class _Lowering:
             obs = np.flatnonzero(status == _OBSERVED)
             observed = (len(obs) == len(domain)) \
                 if len(obs) in (0, len(domain)) else obs
-            km = _binding_for(node, [np.asarray(col, dtype=np.int64)
-                                     for col in zip(*domain)])
+            km = _binding_for(node, list(np.ascontiguousarray(domain.T)))
         params = [self.expr(p, km) for p in node.stmt.dist.params]
         v = self.read(var, pos) if indexed else self.values[var]
         self.src.term(node.stmt.dist.name, v, params, observed)
@@ -768,19 +747,19 @@ class _Lowering:
         self.src.term(node.stmt.dist.name, v, params, observed)
 
 
-def _lower(bound: BoundModel, slots, mode: str):
+def _lower(bound: BoundModel, runs, mode: str):
     """One-site statements, program, and the first input with no value or
     None; a plan with an unresolved input never runs its program. UNROLLED
     visits cells in topological order and, inside a node, in domain
     order."""
-    lowering = _Lowering(bound, slots, mode)
+    lowering = _Lowering(bound, runs, mode)
     unresolved = None
     for node in lowering.order:
         try:
             if mode == UNROLLED:
-                for key in node.domain:
-                    lowering.cell(node, key)
-            elif node.kind == "stochastic" and node.domain:
+                for key in node.domain.tolist():
+                    lowering.cell(node, tuple(key))
+            elif node.kind == "stochastic" and len(node.domain):
                 lowering.statement(node)
         except _UnresolvedInput as e:
             unresolved = unresolved or e.name
@@ -793,36 +772,47 @@ def _lower(bound: BoundModel, slots, mode: str):
 class ExecutablePlan:
     """Compiled log-density program over an unconstrained latent vector."""
 
-    def __init__(self, bound: BoundModel, slots, simulate_only, mode,
+    def __init__(self, bound: BoundModel, runs, simulate_only, mode,
                  blocks, program, unresolved):
         self.bound = bound
         self.graph = bound.graph
         self.ranges = bound.ranges
-        self.slots = slots
+        self.runs = runs                # the latent layout (see SlotRun)
         self.mode = mode
         self.blocks = blocks            # FUSED: one-site statements
         self.simulate_only = simulate_only
         self._program = program         # codegen.Program
         self._unresolved = unresolved   # an input with no value, or None
         by_transform: dict[object, list] = {}
-        for s in slots:
-            by_transform.setdefault(s.transform, []).append(s.offset)
-        self._transforms = [(tr, np.asarray(offs, dtype=np.int64))
+        for run in runs:
+            by_transform.setdefault(run.transform, []).append(run.offsets)
+        self._transforms = [(tr, np.concatenate(offs))
                             for tr, offs in by_transform.items()]
 
     # -- layout ----------------------------------------------------------
 
     @property
     def latent_dim(self) -> int:
-        return len(self.slots)
+        return sum(len(run.pos) for run in self.runs)
 
     @property
     def site_names(self) -> list:
-        return [s.name for s in self.slots]
+        return [instance_name(run.variable, key)
+                for run in self.runs for key in _run_keys(self.bound, run)]
+
+    @functools.cached_property
+    def slots(self) -> list:
+        """One `Slot` per latent slot, in offset order; built from the runs
+        on first access."""
+        return [Slot(instance_name(run.variable, key), run.variable, key,
+                     run.kind, run.transform, run.offset + i, run.dist)
+                for run in self.runs
+                for i, key in enumerate(_run_keys(self.bound, run))]
 
     @property
     def n_latent_params(self) -> int:
-        return sum(1 for s in self.slots if s.kind == LATENT_PARAM)
+        return sum(len(run.pos) for run in self.runs
+                   if run.kind == LATENT_PARAM)
 
     @property
     def n_observed(self) -> int:
@@ -906,17 +896,17 @@ class ExecutablePlan:
 def lower(bound: BoundModel, mode: str = FUSED) -> ExecutablePlan:
     if mode not in (FUSED, UNROLLED):
         raise ValueError(f"unknown mode {mode!r}")
-    slots, simulate_only = build_layout(bound)
+    runs, simulate_only = build_layout(bound)
     # lowering allocates hundreds of thousands of small objects that live
     # until it ends; cyclic collections would walk them over and over
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        blocks, program, unresolved = _lower(bound, slots, mode)
+        blocks, program, unresolved = _lower(bound, runs, mode)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return ExecutablePlan(bound, slots, simulate_only, mode, blocks, program,
+    return ExecutablePlan(bound, runs, simulate_only, mode, blocks, program,
                           unresolved)
 
 
@@ -977,9 +967,8 @@ def prior_simulate(plan: ExecutablePlan, rng: np.random.Generator,
                    for v in graph.var_axes)]
     out_vars = [v for v in graph.var_axes
                 if not any(a is None for a in graph.var_axes[v])]
-    keys = list(itertools.product(*(range(*_incl(bound.ranges[a]))
-                                    for a in used)))
-    grid = np.array(keys, dtype=np.int64).reshape(len(keys), len(used))
+    index_grid = VarLayout.build("rows", used, graph, bound.ranges)
+    grid = index_grid.keys(np.arange(index_grid.size))
     cols = {}
     for v in out_vars:
         layout = bound.layouts[v]
@@ -1035,21 +1024,31 @@ class _Simulation:
         self.blocks = []
         replicate = _replicate_axes(bound.graph)
         for node in topo_order(bound.graph):
-            if not node.domain:
+            keys = node.domain
+            if not len(keys):
                 continue
             var = node.variable
-            keys = np.array(node.domain, dtype=np.int64)
             pos = _positions(bound, node)
             rep = [p for p, (kind, axis) in enumerate(node.selector)
                    if kind == "sym" and axis in replicate]
-            rows_of: dict[tuple, list] = {}
-            for i, sub in enumerate(np.delete(keys, rep, axis=1).tolist()):
-                rows_of.setdefault(tuple(sub), []).append(i)
-            for rows in rows_of.values():
+            # block of each cell: its position with its ordinals on the
+            # replicate axes (ranges, so value - first value) taken out;
+            # blocks numbered in the order of their first cell
+            layout = bound.layouts[var]
+            _, first, block = np.unique(
+                pos - sum((keys[:, p] - layout.axis_values[p][0])
+                          * layout.strides[p] for p in rep),
+                return_index=True, return_inverse=True)
+            rank = np.empty_like(first)
+            rank[np.argsort(first)] = np.arange(len(first))
+            block = rank[block]
+            self.owner[var][pos] = len(self.blocks) + block
+            order = np.argsort(block, kind="stable")
+            ends = np.cumsum(np.bincount(block))
+            for rows in np.split(order, ends[:-1]):
                 km = {axis: keys[rows, p] if p in rep else int(keys[rows[0], p])
                       for p, (kind, axis) in enumerate(node.selector)
                       if kind == "sym"}
-                self.owner[var][pos[rows]] = len(self.blocks)
                 self.blocks.append((node, pos[rows], km))
         self.done = np.zeros(len(self.blocks), dtype=bool)
 

@@ -1,5 +1,6 @@
 """Dependency graph construction, domains, topological order, and structure tags."""
 
+import numpy as np
 import pytest
 
 from ldmlang import graph as g
@@ -115,51 +116,58 @@ def test_domains_partition_the_grid():
     nodes = graph.by_var["y"]
     base = next(n for n in nodes if n.selector == (("fixed", 0),))
     generic = next(n for n in nodes if n.selector == (("sym", "t"),))
-    assert base.domain == [(0,)]
-    assert generic.domain == [(1,), (2,), (3,), (4,)]
+    assert base.domain.tolist() == [[0]]
+    assert generic.domain.tolist() == [[1], [2], [3], [4]]
+    assert base.domain.dtype == generic.domain.dtype == np.int64
 
 
-def test_explicit_statement_shadows_generic():
-    src = """ProgramName: M
+SHADOWED = """ProgramName: M
 Indices: t 0 3
 x[t] ~ N(0, 1)
 x[2] ~ N(5, 1)
 """
-    graph, _ = analyzed(src)
-    explicit = next(n for n in graph.by_var["x"] if n.selector == (("fixed", 2),))
-    generic = next(n for n in graph.by_var["x"] if n.selector == (("sym", "t"),))
-    assert explicit.domain == [(2,)]
-    assert (2,) not in generic.domain
-    assert sorted(explicit.domain + generic.domain) == [(0,), (1,), (2,), (3,)]
 
-
-def test_equal_specificity_overlap_is_an_error():
-    src = """ProgramName: M
+OVERLAP = """ProgramName: M
 Indices: t 0 3
 x[t] ~ N(0, 1)
 x[t] ~ N(1, 1)
 """
-    with pytest.raises(OverlappingDefinitionsError):
-        analyzed(src)
 
-
-def test_missing_base_case_is_reported():
-    src = """ProgramName: M
+NO_BASE_CASE = """ProgramName: M
 Indices: t 0 4
 x[t] ~ N(x[t-1], 1)
 """
-    with pytest.raises(UndefinedReferenceError, match="missing base case"):
-        analyzed(src)
 
-
-def test_out_of_range_explicit_instance():
-    src = """ProgramName: M
+OUT_OF_RANGE = """ProgramName: M
 Indices: t 0 3
 x[t] ~ N(0, 1)
 x[9] ~ N(0, 1)
 """
+
+
+def test_explicit_statement_shadows_generic():
+    graph, _ = analyzed(SHADOWED)
+    explicit = next(n for n in graph.by_var["x"] if n.selector == (("fixed", 2),))
+    generic = next(n for n in graph.by_var["x"] if n.selector == (("sym", "t"),))
+    assert explicit.domain.tolist() == [[2]]
+    assert [2] not in generic.domain.tolist()
+    assert sorted(explicit.domain.tolist() + generic.domain.tolist()) == [
+        [0], [1], [2], [3]]
+
+
+def test_equal_specificity_overlap_is_an_error():
+    with pytest.raises(OverlappingDefinitionsError):
+        analyzed(OVERLAP)
+
+
+def test_missing_base_case_is_reported():
+    with pytest.raises(UndefinedReferenceError, match="missing base case"):
+        analyzed(NO_BASE_CASE)
+
+
+def test_out_of_range_explicit_instance():
     with pytest.raises(UndefinedReferenceError, match="outside the declared range"):
-        analyzed(src)
+        analyzed(OUT_OF_RANGE)
 
 
 def test_within_slice_self_cycle():
@@ -234,10 +242,11 @@ def test_domains_cover_capped_corpus_ranges():
         ranges = {d.name: (d.lo, min(d.hi, d.lo + 4)) for d in graph.ast.indices}
         g.assign_domains(graph, ranges)
         for var in graph.variables():
-            grid = g.var_grid(graph, var, ranges)
-            claimed = [k for n in graph.by_var[var] for k in n.domain]
+            layout = graph.layouts[var]
+            grid = layout.keys(np.arange(layout.size)).tolist()
+            claimed = [k for n in graph.by_var[var] for k in n.domain.tolist()]
             assert sorted(claimed) == sorted(grid), (name, var)
-            assert len(set(claimed)) == len(claimed), (name, var)
+            assert len(set(map(tuple, claimed))) == len(claimed), (name, var)
 
 
 def test_instance_name():

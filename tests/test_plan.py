@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -603,6 +604,52 @@ y[i] ~ N(a * x[i], 1)
                        match=rf"^input x\[2\] is {value}; a cell must be "
                              "finite$"):
         pl.compile_model(src, inputs={"x": [0.5, 1.0, value, 2.0]})
+
+
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+def test_scalar_for_an_indexed_input_is_rejected_at_bind(mode):
+    src = """ProgramName: M
+Indices: i 0 3
+Inputs: x
+a ~ N(0, 1)
+y[i] ~ N(a * x[i], 1)
+"""
+    with pytest.raises(BindError,
+                       match=r"^input 'x' is indexed by \('i',\) and needs 4 "
+                             "values, got a scalar$"):
+        pl.compile_model(src, inputs={"x": 2.0}, mode=mode)
+
+
+def dbn_panel(n):
+    return re.sub(r"Indices:.*", f"Indices: n 0 {n - 1}, t 0 37",
+                  model_text("dbn.ldm"))
+
+
+def test_compile_and_simulate_make_no_per_cell_names_or_slots(monkeypatch):
+    """Compiling and prior-simulating the DBN makes as many site names at
+    n=5 as at n=50, and no `Slot`: neither grows with the cells."""
+    from ldmlang import graph as g
+    calls = {"instance_name": 0, "Slot": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = counted("instance_name", g.instance_name)
+    monkeypatch.setattr(g, "instance_name", names)
+    monkeypatch.setattr(pl, "instance_name", names)
+    monkeypatch.setattr(pl, "Slot", counted("Slot", pl.Slot))
+    counts = []
+    for n in (5, 50):
+        calls.update(instance_name=0, Slot=0)
+        plan = pl.compile_model(dbn_panel(n))
+        pl.prior_simulate(plan, np.random.default_rng(1), 2)
+        counts.append(dict(calls))
+    assert plan.latent_dim == 20 + 5 * 50 * 38
+    assert counts[0] == counts[1]
+    assert counts[1]["Slot"] == 0
 
 
 def test_latent_vector_shape_and_nan_checks():
