@@ -224,7 +224,7 @@ def cmd_sample(args) -> int:
                             "max_tree_depth": cfg.max_tree_depth},
                     phases=phases,
                     workers=ds.workers, gradients=ds.gradients,
-                    peak_rss_mb=_peak_rss_mb())
+                    warmup=ds.warmup, peak_rss_mb=_peak_rss_mb())
     n_div = int(ds.stats["divergent"].sum())
     print(f"wrote {args.out} ({cfg.n_chains} chains x {cfg.n_samples} draws, "
           f"{plan.latent_dim} sites, {n_div} divergent)")

@@ -279,6 +279,9 @@ def _supply_input(inp: _Input, supplied) -> None:
                             f"and needs {need}, got a scalar")
         inp.scalar = _finite_input(inp.name, (), float(supplied))
         return
+    if not inp.axes:
+        raise BindError(f"input {inp.name!r} is not indexed and takes one "
+                        f"value, got an array of shape {np.shape(supplied)}")
     inp.array = np.asarray(supplied, dtype=float).ravel()
     if inp.layout is not None and inp.array.size != inp.layout.size:
         raise BindError(

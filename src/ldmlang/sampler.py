@@ -1,5 +1,12 @@
 """Gradient-based MCMC over a compiled plan.
 
+Each chain starts from single-path Pathfinder (see pathfinder.py): from the
+chain's initialization point, L-BFGS climbs the log density, and the chain
+starts at a draw of the best-scoring normal approximation along the path,
+with the diagonal of its covariance as the first inverse metric. Without a
+finite score anywhere on the path, the chain starts at the initialization
+point with the unit metric.
+
 Multinomial No-U-Turn sampler: trajectories grow by doubling, candidate
 states are weighted by exp(H0 - H) within each subtree, and the proposal is
 merged progressively (biased toward the new subtree at the root). Step size
@@ -34,6 +41,7 @@ import numpy as np
 
 from .datatable import DataTable, write_csv
 from .errors import AllDivergentError, InitializationFailedError, SamplerError
+from .pathfinder import pathfinder
 
 _DIVERGENCE_THRESHOLD = 1000.0
 _LOG2 = math.log(2.0)
@@ -353,6 +361,8 @@ class DrawSet:
     sampling_time: float = 0.0
     # gradient evaluations per chain: "warmup" / "sampling" -> list
     gradients: dict = field(default_factory=dict)
+    # per chain: {"pathfinder": its path, "windows": the metric windows}
+    warmup: list = field(default_factory=list)
     workers: int = 1                   # processes that ran the chains
 
     @property
@@ -429,10 +439,13 @@ _STATS = ("divergent", "accept_stat", "depth", "energy", "n_leapfrog",
 def _chain(plan, cfg, stream, chain, init_attempts):
     """Warm up and sample one chain from its own RNG stream.
 
-    Returns (draws, stats, grads): the constrained draws (n_samples,
-    n_sites), the per-draw statistics (name -> (n_samples,) array) and the
-    gradient evaluations made in warmup (initialization attempts and step
-    size searches included) and in sampling."""
+    The chain starts where Pathfinder puts it, with its metric (see
+    pathfinder.py). Returns (draws, stats, grads, warmup): the constrained
+    draws (n_samples, n_sites), the per-draw statistics (name ->
+    (n_samples,) array), the gradient evaluations made in warmup
+    (initialization attempts, Pathfinder and step size searches included)
+    and in sampling, and what warmup did: Pathfinder's path, and per metric
+    window its start, end, leapfrogs and the step size found at its end."""
     dim = plan.latent_dim
     grad_fn = plan.logdensity_and_grad
     rng = stream.chain(chain)
@@ -450,11 +463,15 @@ def _chain(plan, cfg, stream, chain, init_attempts):
             f"chain {chain}: no finite log density found in "
             f"{init_attempts} initialization attempts")
 
-    inv_mass = np.ones(dim)
+    u, v, g, inv_mass, path = pathfinder(rng, grad_fn, plan.logdensity,
+                                         u, v, g)
+    n_warmup += path["gradients"]
     eps, n = find_reasonable_epsilon(rng, grad_fn, u, v, g, inv_mass)
     n_warmup += n
     da = _DualAverage(eps, target=cfg.target_accept)
     windows = mass_windows(cfg.n_warmup)
+    window_log = [{"start": a, "end": b, "leapfrogs": 0, "step_size": None}
+                  for a, b in windows]
     window_idx = 0
     welford = _Welford(dim)
 
@@ -467,13 +484,15 @@ def _chain(plan, cfg, stream, chain, init_attempts):
             w_start, w_end = windows[window_idx]
             if w_start <= i < w_end:
                 welford.add(u)
+                window_log[window_idx]["leapfrogs"] += st.n_leapfrog
             if i == w_end - 1:
                 inv_mass = welford.variance()
                 welford = _Welford(dim)
-                window_idx += 1
                 eps, n = find_reasonable_epsilon(rng, grad_fn, u, v, g,
                                                  inv_mass)
                 n_warmup += n
+                window_log[window_idx]["step_size"] = eps
+                window_idx += 1
                 da = _DualAverage(eps, target=cfg.target_accept)
     eps = da.adapted
 
@@ -489,7 +508,8 @@ def _chain(plan, cfg, stream, chain, init_attempts):
         stats["energy"][i] = st.energy
         stats["n_leapfrog"][i] = st.n_leapfrog
         stats["step_size"][i] = eps
-    return draws, stats, (n_warmup, int(stats["n_leapfrog"].sum()))
+    return (draws, stats, (n_warmup, int(stats["n_leapfrog"].sum())),
+            {"pathfinder": path, "windows": window_log})
 
 
 # --- chains in worker processes ---------------------------------------------------
@@ -622,4 +642,4 @@ def run(plan, config: SamplerConfig | None = None, *,
                    sampling_time=time.perf_counter() - t_start,
                    gradients={"warmup": [r[2][0] for r in results],
                               "sampling": [r[2][1] for r in results]},
-                   workers=n_workers)
+                   warmup=[r[3] for r in results], workers=n_workers)

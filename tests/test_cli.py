@@ -341,6 +341,51 @@ def test_manifest_records_workers_gradients_and_memory(
     assert man2["peak_rss_mb"]["workers"] > 0
 
 
+def test_manifest_records_each_chains_warmup(monkeypatch, model_file,
+                                             data_file, tmp_path):
+    # Pathfinder's calls, counted where the chain makes them, and one
+    # entry per metric window
+    counted = []
+    start = sampler.pathfinder
+
+    def counting(rng, grad_fn, value_fn, u, v, g):
+        calls = {"gradients": 0, "values": 0}
+
+        def grad(x):
+            calls["gradients"] += 1
+            return grad_fn(x)
+
+        def value(x):
+            calls["values"] += 1
+            return value_fn(x)
+
+        out = start(rng, grad, value, u, v, g)
+        counted.append(calls)
+        return out
+
+    monkeypatch.setattr(sampler, "pathfinder", counting)
+    monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: 1)
+    out = tmp_path / "draws.csv"
+    assert main(sample_args(model_file, data_file, str(out))) == 0
+    man = json.loads((tmp_path / "draws.manifest.json").read_text())
+    assert len(man["warmup"]) == 2
+    for chain, calls, n_grads in zip(man["warmup"], counted,
+                                     man["gradients"]["warmup"]):
+        path = chain["pathfinder"]
+        assert set(path) == {"iterations", "gradients", "values",
+                             "best_iteration", "elbo"}
+        assert {k: path[k] for k in calls} == calls
+        assert 1 <= path["best_iteration"] <= path["iterations"]
+        assert isinstance(path["elbo"], float)
+        assert [(w["start"], w["end"]) for w in chain["windows"]] == \
+            sampler.mass_windows(150)
+        for w in chain["windows"]:
+            assert w["step_size"] > 0
+            assert w["leapfrogs"] >= w["end"] - w["start"]
+        leapfrogs = sum(w["leapfrogs"] for w in chain["windows"])
+        assert path["gradients"] + leapfrogs < n_grads
+
+
 def test_gradient_shadowed_on_the_plan_writes_the_same_draws(
         monkeypatch, model_file, data_file, tmp_path):
     # a wrapper set as `plan.logdensity_and_grad` on the plan instance, as

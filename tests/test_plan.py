@@ -620,6 +620,15 @@ y[i] ~ N(a * x[i], 1)
         pl.compile_model(src, inputs={"x": 2.0}, mode=mode)
 
 
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+def test_array_for_a_scalar_input_is_rejected_at_bind(mode):
+    src = "ProgramName: M\nInputs: x\na ~ N(0, 1)\ny ~ N(a * x, 1)\n"
+    with pytest.raises(BindError,
+                       match=r"^input 'x' is not indexed and takes one "
+                             r"value, got an array of shape \(2,\)$"):
+        pl.compile_model(src, inputs={"x": [1.0, 2.0]}, mode=mode)
+
+
 def dbn_panel(n):
     return re.sub(r"Indices:.*", f"Indices: n 0 {n - 1}, t 0 37",
                   model_text("dbn.ldm"))
