@@ -16,77 +16,88 @@ from .errors import NoImputedSitesError
 from .plan import LATENT_PARAM, MISSING_IMPUTED
 
 
-def _split_chains(x: np.ndarray) -> np.ndarray:
-    """Halve each chain; (m, n) -> (2m, n//2). Drops the middle odd draw."""
-    m, n = x.shape
+def _constant(x: np.ndarray) -> np.ndarray:
+    """Per site of x (sites, chains, draws): whether every draw equals the
+    first."""
+    return (x == x[:, :1, :1]).all(axis=(1, 2))
+
+
+def _split_rhat_sites(x: np.ndarray) -> np.ndarray:
+    """Potential scale reduction over split chains per site of x (sites,
+    chains, draws); NaN where undefined. Each chain is halved, dropping the
+    middle odd draw."""
+    k, m, n = x.shape
+    if m < 2 or n < 4:
+        return np.full(k, math.nan)
     half = n // 2
-    return np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
+    s = np.concatenate([x[:, :, :half], x[:, :, n - half:]], axis=1)
+    with np.errstate(all="ignore"):
+        w = s.var(axis=2, ddof=1).mean(axis=1)
+        b = half * s.mean(axis=2).var(axis=1, ddof=1)
+        var_plus = (half - 1) / half * w + b / half
+        r_hat = np.sqrt(var_plus / w)
+    return np.where(np.isfinite(w) & (w > 0.0) & ~_constant(x), r_hat,
+                    math.nan)
 
 
-def split_rhat(x: np.ndarray) -> float:
-    """Potential scale reduction over split chains; NaN when undefined."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 4:
-        return math.nan
-    if np.all(x == x.flat[0]):
-        return math.nan
-    s = _split_chains(x)
-    m, n = s.shape
-    within = s.var(axis=1, ddof=1)
-    w = within.mean()
-    if not math.isfinite(w) or w <= 0.0:
-        return math.nan
-    b = n * s.mean(axis=1).var(ddof=1)
-    var_plus = (n - 1) / n * w + b / n
-    return math.sqrt(var_plus / w)
-
-
-def _autocovariance(x: np.ndarray) -> np.ndarray:
-    """Biased (1/n) autocovariance of one chain via FFT."""
-    n = len(x)
-    xc = x - x.mean()
-    size = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(xc, size)
-    acov = np.fft.irfft(f * np.conjugate(f), size)[:n].real
-    return acov / n
-
-
-def effective_sample_size(x: np.ndarray) -> float:
-    """Autocorrelation-based effective draw count across chains.
+def _ess_sites(x: np.ndarray) -> np.ndarray:
+    """Autocorrelation-based effective draw count across chains per site of
+    x (sites, chains, draws); NaN where undefined.
 
     Combined autocorrelation sequence truncated at the first non-positive
     consecutive pair sum, with the pair sums forced non-increasing."""
+    k, m, n = x.shape
+    if n < 4:
+        return np.full(k, math.nan)
+    with np.errstate(all="ignore"):
+        # biased (1/n) autocovariance of every chain by one batched FFT
+        xc = x - x.mean(axis=2, keepdims=True)
+        size = 1 << (2 * n - 1).bit_length()
+        f = np.fft.rfft(xc, size).reshape(k * m, -1)
+        # one product per chain: NumPy's complex multiply rounds the
+        # imaginary part differently on long arrays, and per-chain calls
+        # give each site the bits it gets on its own
+        for fj in f:
+            np.multiply(fj, np.conjugate(fj), out=fj)
+        acov = np.fft.irfft(f, size)[:, :n].reshape(k, m, n) / n
+        mean_var = acov[:, :, 0].mean(axis=1) * n / (n - 1)
+        var_plus = mean_var * (n - 1) / n
+        if m > 1:
+            var_plus += x.mean(axis=2).var(axis=1, ddof=1)
+        rho = 1.0 - ((mean_var[:, None] - acov.mean(axis=1))
+                     / var_plus[:, None])
+        rho[:, 0] = 1.0
+        # Geyer pairing: keep the pair sums rho[2t] + rho[2t+1] before the
+        # first non-positive one, each capped by the one before; tau is -1
+        # plus twice each kept sum, added in order
+        pairs = rho[:, 0:n - 1:2] + rho[:, 1::2]
+        stop = pairs <= 0.0
+        kept = np.where(stop.any(axis=1), stop.argmax(axis=1), n // 2)
+        terms = np.empty((k, n // 2 + 1))
+        terms[:, 0] = -1.0
+        terms[:, 1:] = 2.0 * np.minimum.accumulate(pairs, axis=1)
+        tau = np.cumsum(terms, axis=1)[np.arange(k), kept]
+        ess = m * n / np.maximum(tau, 1.0 / math.log10(m * n + 10.0))
+    ok = np.isfinite(var_plus) & (var_plus > 0.0) & ~_constant(x)
+    return np.where(ok, ess, math.nan)
+
+
+def split_rhat(x: np.ndarray) -> float:
+    """Potential scale reduction over split chains of x (chains, draws);
+    NaN when undefined."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        return math.nan
+    return float(_split_rhat_sites(x[None])[0])
+
+
+def effective_sample_size(x: np.ndarray) -> float:
+    """Autocorrelation-based effective draw count of x (chains, draws), or
+    of one chain's draws."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    m, n = x.shape
-    if n < 4 or np.all(x == x.flat[0]):
-        return math.nan
-    acov = np.array([_autocovariance(x[j]) for j in range(m)])
-    chain_means = x.mean(axis=1)
-    mean_var = acov[:, 0].mean() * n / (n - 1)
-    var_plus = mean_var * (n - 1) / n
-    if m > 1:
-        var_plus += chain_means.var(ddof=1)
-    if not math.isfinite(var_plus) or var_plus <= 0.0:
-        return math.nan
-
-    rho = 1.0 - (mean_var - acov.mean(axis=0)) / var_plus
-    rho[0] = 1.0
-    # Geyer pairing: keep while rho[2k] + rho[2k+1] > 0, enforce monotone
-    tau = -1.0
-    prev_pair = math.inf
-    t = 0
-    while t + 1 < n:
-        pair = rho[t] + rho[t + 1]
-        if pair <= 0.0:
-            break
-        pair = min(pair, prev_pair)
-        prev_pair = pair
-        tau += 2.0 * pair
-        t += 2
-    tau = max(tau, 1.0 / math.log10(m * n + 10.0))
-    return m * n / tau
+    return float(_ess_sites(x[None])[0])
 
 
 def quantile(x, q) -> float:
@@ -113,20 +124,17 @@ class SummaryRow:
 
 def summarize(drawset) -> list:
     """One SummaryRow per site, in the draw layout's site order."""
-    rows = []
-    for k, name in enumerate(drawset.site_names):
-        x = drawset.draws[:, :, k]
-        flat = x.ravel()
-        rows.append(SummaryRow(
-            site=name,
-            mean=float(flat.mean()),
-            std=float(flat.std(ddof=1)) if flat.size > 1 else 0.0,
-            median=quantile(flat, 0.5),
-            q05=quantile(flat, 0.05),
-            q95=quantile(flat, 0.95),
-            n_eff=effective_sample_size(x),
-            r_hat=split_rhat(x)))
-    return rows
+    # (sites, chains, draws), each site's draws contiguous in chain order
+    x = np.ascontiguousarray(np.moveaxis(drawset.draws, 2, 0))
+    flat = x.reshape(x.shape[0], -1)
+    std = (flat.std(axis=1, ddof=1) if flat.shape[1] > 1
+           else np.zeros(flat.shape[0]))
+    q50, q05, q95 = np.quantile(flat, (0.5, 0.05, 0.95), axis=1,
+                                method="linear")
+    columns = zip(drawset.site_names, flat.mean(axis=1).tolist(),
+                  std.tolist(), q50.tolist(), q05.tolist(), q95.tolist(),
+                  _ess_sites(x).tolist(), _split_rhat_sites(x).tolist())
+    return [SummaryRow(*row) for row in columns]
 
 
 def format_summary(rows) -> str:

@@ -24,21 +24,33 @@ PATIENCE = 50           # iterations past the best ELBO before the path stops
 MAX_ITERATIONS = 1000
 _GRAD_TOL = 1e-8        # L-BFGS ends at this fraction of the first gradient
 _LOG_2PI = math.log(2.0 * math.pi)
+# by order: identity matrices for the factors (order at most 2 * HISTORY),
+# and the masks below the diagonal that np.triu applies (at most HISTORY)
+_EYE = [np.eye(k) for k in range(2 * HISTORY + 1)]
+_BELOW = [np.tri(k, k=-1, dtype=bool) for k in range(HISTORY + 1)]
+
+
+class Pair(NamedTuple):
+    """An L-BFGS curvature pair: the step s, the gradient change y, and
+    their products s'y and y'y."""
+    s: np.ndarray
+    y: np.ndarray
+    sy: float
+    yy: float
 
 
 def _two_loop(g, pairs):
-    """The L-BFGS direction -H g from the (s, y) pairs, oldest first, with
-    H0 = (s'y / y'y) I from the newest pair."""
+    """The L-BFGS direction -H g from the curvature pairs, oldest first,
+    with H0 = (s'y / y'y) I from the newest pair."""
     q = g.copy()
     coef = []
-    for s, y in reversed(pairs):
-        a = (s @ q) / (s @ y)
+    for s, y, sy, _ in reversed(pairs):
+        a = (s @ q) / sy
         q -= a * y
         coef.append(a)
-    s, y = pairs[-1]
-    r = q * ((s @ y) / (y @ y))
-    for (s, y), a in zip(pairs, reversed(coef)):
-        r += (a - (y @ r) / (s @ y)) * s
+    r = q * (pairs[-1].sy / pairs[-1].yy)
+    for (s, y, sy, _), a in zip(pairs, reversed(coef)):
+        r += (a - (y @ r) / sy) * s
     return -r
 
 
@@ -70,18 +82,18 @@ def lbfgs(fg, x, f, g):
     """Minimize f by L-BFGS from x, where f and g are its value and
     gradient. fg(x) -> (f, gradient); f is inf where the point is
     rejected. After each step, yields (x, f, g, pairs, new_pair): pairs
-    holds the last HISTORY (s, y) curvature pairs, oldest first, and
+    holds the last HISTORY curvature pairs (`Pair`), oldest first, and
     new_pair says whether this step added one. Stops when the gradient
     norm falls to _GRAD_TOL of its first value, when no step along the
     direction decreases f, or after MAX_ITERATIONS steps."""
     pairs = []
-    g_stop = _GRAD_TOL * float(np.linalg.norm(g))
+    g_stop = _GRAD_TOL * math.sqrt(g @ g)
     for _ in range(MAX_ITERATIONS):
         if pairs:
             d = _two_loop(g, pairs)
         else:                           # first step: length at most 1
-            d = -g / max(1.0, float(np.linalg.norm(g)))
-        if not np.all(np.isfinite(d)):
+            d = -g / max(1.0, math.sqrt(g @ g))
+        if not np.isfinite(d).all():
             return
         step = _line_search(fg, x, f, g, d)
         if step is None:
@@ -89,24 +101,26 @@ def lbfgs(fg, x, f, g):
         x_new, f_new, g_new = step
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
-        new_pair = sy > 0.0 and float(y @ y) <= 1e12 * sy
+        yy = float(y @ y)
+        new_pair = sy > 0.0 and yy <= 1e12 * sy
         if new_pair:
-            pairs = (pairs + [(s, y)])[-HISTORY:]
+            pairs = (pairs + [Pair(s, y, sy, yy)])[-HISTORY:]
         x, f, g = x_new, f_new, g_new
         yield x, f, g, pairs, new_pair
-        if np.linalg.norm(g) <= g_stop:
+        if math.sqrt(g @ g) <= g_stop:
             return
 
 
-def _update_diagonal(alpha, s, y):
-    """The diagonal of the inverse-Hessian estimate after the pair (s, y)
-    (Gilbert & Lemaréchal's update, Pathfinder's Algorithm 4); the old
+def _update_diagonal(alpha, pair):
+    """The diagonal of the inverse-Hessian estimate after the curvature
+    pair (Gilbert & Lemaréchal's update, Pathfinder's Algorithm 4); the old
     diagonal where the update is not positive and finite."""
+    s, y, sy, _ = pair
     y_a_y = float(y @ (alpha * y))
-    s_y = float(s @ y)
-    s_a_s = float(s @ (s / alpha))
-    new = s_y / (y_a_y / alpha + y * y - (y_a_y / s_a_s) * (s / alpha) ** 2)
-    return new if np.all(np.isfinite(new) & (new > 0)) else alpha
+    s_a = s / alpha
+    s_a_s = float(s @ s_a)
+    new = sy / (y_a_y / alpha + y * y - (y_a_y / s_a_s) * s_a ** 2)
+    return new if (np.isfinite(new) & (new > 0)).all() else alpha
 
 
 class Approximation(NamedTuple):
@@ -125,29 +139,35 @@ def approximation(x, grad, alpha, pairs):
     is grad: covariance H = diag(alpha) + beta gamma beta' from the pairs,
     mean x + H grad. None where H is not positive definite or its mean or
     diagonal is not finite."""
-    S = np.column_stack([s for s, _ in pairs])
-    Y = np.column_stack([y for _, y in pairs])
     m = len(pairs)
+    S = np.empty((x.shape[0], m))
+    Y = np.empty((x.shape[0], m))
+    for j, (s, y, _, _) in enumerate(pairs):
+        S[:, j] = s
+        Y[:, j] = y
     SY = S.T @ Y
-    r_inv = np.linalg.inv(np.triu(SY))
+    r_inv = np.linalg.inv(np.where(_BELOW[m], 0.0, SY))     # np.triu(SY)
     AY = alpha[:, None] * Y
     beta = np.hstack([AY, S])
-    gamma = np.block([
-        [np.zeros((m, m)), -r_inv],
-        [-r_inv.T, r_inv.T @ (np.diag(np.diag(SY)) + Y.T @ AY) @ r_inv]])
+    inner = Y.T @ AY
+    inner.flat[::m + 1] += SY.diagonal()
+    gamma = np.zeros((2 * m, 2 * m))
+    gamma[:m, m:] = -r_inv
+    gamma[m:, :m] = -r_inv.T
+    gamma[m:, m:] = r_inv.T @ inner @ r_inv
     sqrt_alpha = np.sqrt(alpha)
     Q, R = np.linalg.qr(beta / sqrt_alpha[:, None])
     try:
-        L = np.linalg.cholesky(np.eye(Q.shape[1]) + R @ gamma @ R.T)
+        L = np.linalg.cholesky(_EYE[Q.shape[1]] + R @ gamma @ R.T)
     except np.linalg.LinAlgError:
         return None
     mean = x + alpha * grad + beta @ (gamma @ (beta.T @ grad))
-    logdet = float(np.sum(np.log(alpha)) + 2.0 * np.sum(np.log(np.diag(L))))
+    logdet = float(np.log(alpha).sum() + 2.0 * np.log(L.diagonal()).sum())
     # 1 - |Q_i|^2 >= 0: the diagonal is positive up to rounding
-    diagonal = alpha * (1.0 + np.sum((Q @ L) ** 2, axis=1)
-                        - np.sum(Q * Q, axis=1))
-    if not (np.all(np.isfinite(mean)) and math.isfinite(logdet)
-            and np.all(np.isfinite(diagonal) & (diagonal > 0))):
+    diagonal = alpha * (1.0 + ((Q @ L) ** 2).sum(axis=1)
+                        - (Q * Q).sum(axis=1))
+    if not (np.isfinite(mean).all() and math.isfinite(logdet)
+            and (np.isfinite(diagonal) & (diagonal > 0)).all()):
         return None
     return Approximation(mean, sqrt_alpha, Q, L, logdet, diagonal)
 
@@ -156,8 +176,8 @@ def draw(rng, approx, n):
     """n draws of the approximation, as rows, and their log densities."""
     mean, sqrt_alpha, Q, L, logdet, _ = approx
     z = rng.standard_normal((n, mean.shape[0]))
-    x = mean + sqrt_alpha * (z + (z @ Q @ (L - np.eye(L.shape[0])).T) @ Q.T)
-    log_q = -0.5 * (logdet + np.sum(z * z, axis=1) + mean.shape[0] * _LOG_2PI)
+    x = mean + sqrt_alpha * (z + (z @ Q @ (L - _EYE[L.shape[0]]).T) @ Q.T)
+    log_q = -0.5 * (logdet + (z * z).sum(axis=1) + mean.shape[0] * _LOG_2PI)
     return x, log_q
 
 
@@ -186,13 +206,13 @@ def pathfinder(rng, grad_fn, value_fn, u, v, g):
         for x, f, gf, pairs, new_pair in lbfgs(fg, u, -float(v), -g):
             iteration += 1
             if new_pair:
-                alpha = _update_diagonal(alpha, *pairs[-1])
+                alpha = _update_diagonal(alpha, pairs[-1])
             approx = approximation(x, -gf, alpha, pairs) if pairs else None
             if approx is not None:
                 x_draws, log_q = draw(rng, approx, ELBO_DRAWS)
                 log_p = np.array([value_fn(xd) for xd in x_draws])
                 n_values += ELBO_DRAWS
-                elbo = float(np.mean(log_p - log_q))
+                elbo = float((log_p - log_q).mean())
                 if math.isfinite(elbo) and (best is None or elbo > best[0]):
                     best = (elbo, iteration, approx, x_draws[0], (x, f, gf))
             if iteration - (best[1] if best else 0) >= PATIENCE:

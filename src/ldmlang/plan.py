@@ -794,9 +794,13 @@ class ExecutablePlan:
 
     # -- layout ----------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def latent_dim(self) -> int:
         return sum(len(run.pos) for run in self.runs)
+
+    @functools.cached_property
+    def _latent_zeros(self) -> np.ndarray:
+        return np.zeros(self.latent_dim)
 
     @property
     def site_names(self) -> list:
@@ -855,15 +859,24 @@ class ExecutablePlan:
             return u.tape.elementwise(value, (u,), (grad,))
         return self._program.value(u)
 
-    def logdensity(self, u) -> float:
+    def _latent(self, u) -> np.ndarray:
+        """u as a float array, which must have the latent layout's shape."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.latent_dim,):
+        if u.shape != self._latent_zeros.shape:
             raise ValueError(f"latent vector must have shape "
                              f"({self.latent_dim},), got {u.shape}")
-        if np.isnan(u).any():
-            raise NonFiniteDensityError("latent vector contains NaN")
+        return u
+
+    def logdensity(self, u) -> float:
+        """Log density at u, -inf off the support. NaN anywhere in u raises
+        NonFiniteDensityError and a u of the wrong shape ValueError."""
+        u = self._latent(u)
         with np.errstate(all="ignore"):
-            return float(self.eval_logdensity(u))
+            value = float(self.eval_logdensity(u))
+        # a NaN slot makes its own prior term, and so the value, non-finite
+        if not -math.inf < value < math.inf and np.isnan(u).any():
+            raise NonFiniteDensityError("latent vector contains NaN")
+        return value
 
     def compile_gradient(self) -> None:
         """Compile the generated value-and-gradient function now rather
@@ -874,17 +887,19 @@ class ExecutablePlan:
 
     def logdensity_and_grad(self, u):
         """Value and gradient at u. NaN anywhere in u raises
-        NonFiniteDensityError. A value of -inf, or NaN reported as -inf,
-        comes back with a zero gradient, and so does a point whose gradient
-        overflows; callers treat the point as rejected."""
+        NonFiniteDensityError and a u of the wrong shape ValueError. A
+        value of -inf, or NaN reported as -inf, comes back with a zero
+        gradient, and so does a point whose gradient overflows; callers
+        treat the point as rejected."""
+        u = self._latent(u)
         self._check_evaluable()
-        u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             value, grad = self._program.value_and_grad(u)
-        # a NaN slot makes its own prior term, and so the value, non-finite
+            # grad . 0 is NaN exactly when an entry of grad is inf or NaN
+            bad_grad = math.isnan(grad @ self._latent_zeros)
         if not -math.inf < value < math.inf and np.isnan(u).any():
             raise NonFiniteDensityError("latent vector contains NaN")
-        if not np.isfinite(grad).all():
+        if bad_grad:
             return -math.inf, np.zeros_like(u)
         return value, grad
 

@@ -72,6 +72,114 @@ def test_quantile_linear_interpolation():
     assert an.quantile(x, 0.95) == pytest.approx(95.05)
 
 
+# The reference diagnostics: one site at a time, as first written.
+
+
+def _ref_split_rhat(x):
+    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 4:
+        return math.nan
+    if np.all(x == x.flat[0]):
+        return math.nan
+    half = x.shape[1] // 2
+    s = np.concatenate([x[:, :half], x[:, x.shape[1] - half:]], axis=0)
+    m, n = s.shape
+    within = s.var(axis=1, ddof=1)
+    w = within.mean()
+    if not math.isfinite(w) or w <= 0.0:
+        return math.nan
+    b = n * s.mean(axis=1).var(ddof=1)
+    var_plus = (n - 1) / n * w + b / n
+    return math.sqrt(var_plus / w)
+
+
+def _ref_autocovariance(x):
+    n = len(x)
+    xc = x - x.mean()
+    size = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(xc, size)
+    acov = np.fft.irfft(f * np.conjugate(f), size)[:n].real
+    return acov / n
+
+
+def _ref_effective_sample_size(x):
+    m, n = x.shape
+    if n < 4 or np.all(x == x.flat[0]):
+        return math.nan
+    acov = np.array([_ref_autocovariance(x[j]) for j in range(m)])
+    chain_means = x.mean(axis=1)
+    mean_var = acov[:, 0].mean() * n / (n - 1)
+    var_plus = mean_var * (n - 1) / n
+    if m > 1:
+        var_plus += chain_means.var(ddof=1)
+    if not math.isfinite(var_plus) or var_plus <= 0.0:
+        return math.nan
+    rho = 1.0 - (mean_var - acov.mean(axis=0)) / var_plus
+    rho[0] = 1.0
+    tau = -1.0
+    prev_pair = math.inf
+    t = 0
+    while t + 1 < n:
+        pair = rho[t] + rho[t + 1]
+        if pair <= 0.0:
+            break
+        pair = min(pair, prev_pair)
+        prev_pair = pair
+        tau += 2.0 * pair
+        t += 2
+    tau = max(tau, 1.0 / math.log10(m * n + 10.0))
+    return m * n / tau
+
+
+def _ref_summarize(drawset):
+    rows = []
+    for k, name in enumerate(drawset.site_names):
+        x = drawset.draws[:, :, k]
+        flat = x.ravel()
+        rows.append(an.SummaryRow(
+            site=name, mean=float(flat.mean()),
+            std=float(flat.std(ddof=1)) if flat.size > 1 else 0.0,
+            median=an.quantile(flat, 0.5), q05=an.quantile(flat, 0.05),
+            q95=an.quantile(flat, 0.95),
+            n_eff=_ref_effective_sample_size(x), r_hat=_ref_split_rhat(x)))
+    return rows
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("chains, draws", [
+    (1, 3), (1, 257), (2, 4), (2, 50), (2, 51), (3, 100), (4, 129),
+    (9, 1000)])
+def test_summarize_matches_the_reference_bit_for_bit(chains, draws):
+    # 40 sites: white noise, random walks at scales 1e-5..1e5, AR(0.95)
+    # chains, a constant site and a site with NaN draws; with 4 x 129 and
+    # more the sites' spectra hold over 16384 complex numbers
+    rng = np.random.default_rng(chains * 1000 + draws)
+    x = rng.standard_normal((chains, draws, 40))
+    x[:, :, 10:20] = np.cumsum(x[:, :, 10:20], axis=1) \
+        * 10.0 ** rng.uniform(-5, 5, 10)
+    for t in range(1, draws):
+        x[:, t, 20:30] = 0.95 * x[:, t - 1, 20:30] + x[:, t, 20:30]
+    x[:, :, 30] = 1.5
+    x[0, :, 31] = np.nan
+    ds = make_drawset({f"s{k}": x[:, :, k] for k in range(40)})
+    with np.errstate(all="ignore"):
+        want = _ref_summarize(ds)
+    got = an.summarize(ds)
+
+    def fields(rows):
+        return np.array([[r.mean, r.std, r.median, r.q05, r.q95, r.n_eff,
+                          r.r_hat] for r in rows]).tobytes()
+
+    assert [r.site for r in got] == [r.site for r in want]
+    assert fields(got) == fields(want)
+    for k in (0, 15, 25, 30, 31):
+        assert _bits(an.effective_sample_size(x[:, :, k])) == \
+            _bits(want[k].n_eff)
+        assert _bits(an.split_rhat(x[:, :, k])) == _bits(want[k].r_hat)
+
+
 def make_drawset(draws_by_site, n_warmup=0):
     names = list(draws_by_site)
     arrs = [np.asarray(draws_by_site[k], dtype=float) for k in names]

@@ -457,6 +457,52 @@ def test_summary_of_draws(model_file, data_file, tmp_path, capsys):
     assert [r["site"] for r in rows] == ["a", "sigma", "y[4]"]
 
 
+def ar1_missing_data(tmp_path):
+    """models/ar1.ldm's T=300 with exactly 60 cells missing, as in the
+    benchmark's ar1_missing workload."""
+    rng = np.random.default_rng(31)
+    y = np.empty(300)
+    y[0] = rng.normal(1.0, 0.5 / np.sqrt(1 - 0.81))
+    for t in range(1, 300):
+        y[t] = 0.9 * y[t - 1] + 0.1 + rng.normal(0, 0.5)
+    y[rng.choice(300, 60, replace=False)] = np.nan
+    return write_csv(tmp_path / "ar1.csv", ["t"], [[t] for t in range(300)],
+                     {"y": y})
+
+
+# SHA-256 of `ldm sample models/ar1.ldm` on ar1_missing_data, 2 chains of
+# 50+50 at the seed, then of `ldm summary`'s stdout and its `-o` JSON, whose
+# floats are written in full: (draws CSV, summary stdout, summary JSON)
+SAMPLE_SHA256 = {
+    5: ("dcff7a9d0d03f409e6559dc6277085dc751592039b0142e0902ac2e31ca03f7f",
+        "a7c47fe9c84be2b5b94aab4876ba9e153781fc7bb2d023b75ed3c50c7ccd131e",
+        "6adfb7f845c2e79afacab3f69be20ef881b1d1ec743a1ad4b6b5f5b001e0f9f0"),
+    11: ("6f8f1c10791e9900078371bee6a994a88c3fb8f626ff48ded2b5f63333f352ed",
+         "64b85f3c8c8fad4e326d67f92d8b207f23ccbe83b9bf058aadea2d4ae4fefc3d",
+         "039fcf1492bcfd577c6766c12aa6ee0206d7220b60d921021c514896c46da97d"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLE_SHA256))
+def test_sample_and_summary_output_is_pinned(seed, monkeypatch, tmp_path,
+                                             capsys):
+    data = ar1_missing_data(tmp_path)
+    for n_workers in (1, 2):
+        monkeypatch.setattr(sampler, "_worker_count",
+                            lambda n, w=n_workers: min(n, w))
+        draws = tmp_path / f"w{n_workers}.csv"
+        rows = tmp_path / f"w{n_workers}.json"
+        assert main(["sample", str(ROOT / "models" / "ar1.ldm"), "--data",
+                     data, "--chains", "2", "--warmup", "50", "--samples",
+                     "50", "--seed", str(seed), "-o", str(draws)]) == 0
+        capsys.readouterr()
+        assert main(["summary", str(draws), "-o", str(rows)]) == 0
+        got = tuple(hashlib.sha256(b).hexdigest() for b in (
+            draws.read_bytes(), capsys.readouterr().out.encode(),
+            rows.read_bytes()))
+        assert got == SAMPLE_SHA256[seed], n_workers
+
+
 def test_summary_rejects_non_draws_csv(data_file, capsys):
     assert main(["summary", data_file]) == 1
     assert "error:" in capsys.readouterr().err

@@ -3,12 +3,14 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
 from ldmlang import plan as pl
+from ldmlang import sampler as smp
 from ldmlang.datatable import make_table
 from ldmlang.errors import (
     BindError, GraphError, MissingDiscreteUnsupportedError,
@@ -692,6 +694,73 @@ def test_logdensity_and_grad_rejects_nan_slots(mode):
     for u in ([np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]):
         with pytest.raises(NonFiniteDensityError):
             plan.logdensity_and_grad(np.array(u))
+
+
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+def test_both_wrappers_check_shape_and_nan_without_warnings(mode):
+    table = make_table(("i",), [[i] for i in range(4)],
+                       {"x": [0.0, 1.0, 1.0, 0.0]})
+    plans = [pl.compile_model(IID5, mode=mode),
+             pl.compile_model(GUARDED, tables=(table,), obs=("x",),
+                              mode=mode)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for plan in plans:
+            dim = plan.latent_dim
+            for fn in (plan.logdensity, plan.logdensity_and_grad):
+                for shape in ((dim - 1,), (dim + 1,), (dim, 1), (1, dim)):
+                    with pytest.raises(ValueError):
+                        fn(np.zeros(shape))
+                for k in range(dim):
+                    u = np.zeros(dim)
+                    u[k] = np.nan
+                    with pytest.raises(NonFiniteDensityError):
+                        fn(u)
+                with pytest.raises(NonFiniteDensityError):
+                    fn(np.full(dim, np.nan))
+
+
+# at x = 1e-110 the observed terms are finite, but their gradients in x
+# overflow: z's to +inf, and y's to -inf, so that the two make NaN
+STEEP = {"inf": ("z ~ N(x, 1e-210)\n", {"z": [2e-110]}),
+         "nan": ("y ~ N(x, 1e-210)\nz ~ N(x, 1e-210)\n",
+                 {"y": [0.0], "z": [2e-110]})}
+
+
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+@pytest.mark.parametrize("entry", sorted(STEEP))
+def test_overflowing_gradient_is_minus_inf_with_zero_gradient(mode, entry):
+    terms, cells = STEEP[entry]
+    plan = pl.compile_model("ProgramName: M\nx ~ N(0, 1)\n" + terms,
+                            tables=(make_table((), [()], cells),),
+                            obs=tuple(cells), mode=mode)
+    u = np.array([1e-110])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = plan.logdensity_and_grad(u)
+        assert math.isfinite(plan.logdensity(u))
+    assert value == -math.inf
+    assert grad.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+def test_sampler_calls_the_wrappers_set_on_the_plan(mode, monkeypatch):
+    # a wrapper set on the plan instance, as a profiler sets one, sees
+    # every gradient call of the chains and every Pathfinder value call
+    plan = pl.compile_model(AR1_SMALL, tables=(ar1_table(missing=(5, 9)),),
+                            obs=("y",), mode=mode)
+    calls = {"logdensity": 0, "logdensity_and_grad": 0}
+    for name in calls:
+        def counted(u, inner=getattr(plan, name), name=name):
+            calls[name] += 1
+            return inner(u)
+        setattr(plan, name, counted)
+    monkeypatch.setattr(smp, "_worker_count", lambda n_chains: 1)
+    out = smp.run(plan, n_chains=2, n_warmup=30, n_samples=20, seed=3)
+    assert calls["logdensity_and_grad"] == (sum(out.gradients["warmup"])
+                                            + sum(out.gradients["sampling"]))
+    assert calls["logdensity"] == sum(w["pathfinder"]["values"]
+                                      for w in out.warmup) > 0
 
 
 @pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
