@@ -24,7 +24,7 @@ from .analysis import (  # noqa: F401
 from .datatable import DataTable, make_table, read_table, write_csv  # noqa: F401
 from .errors import LdmError  # noqa: F401
 from .frontend import parse_program, render, validate  # noqa: F401
-from .graph import build_graph, detect_structure, to_dot  # noqa: F401
+from .graph import build_graph, to_dot  # noqa: F401
 from .plan import (  # noqa: F401
     FUSED, UNROLLED, ExecutablePlan, compile_model, lower, prior_simulate,
 )
@@ -33,7 +33,7 @@ from .sampler import DrawSet, SamplerConfig, run  # noqa: F401
 __all__ = [
     "__version__",
     "parse_program", "validate", "render",
-    "build_graph", "detect_structure", "to_dot",
+    "build_graph", "to_dot",
     "compile_model", "lower", "prior_simulate", "ExecutablePlan",
     "FUSED", "UNROLLED",
     "run", "SamplerConfig", "DrawSet",

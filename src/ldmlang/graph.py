@@ -11,8 +11,7 @@ Responsibilities:
     ones at their concrete tuples) and lag restriction (a statement reading
     x[t-d] starts at lo+d), as one mask per statement over the grid; a
     node's domain is an int64 (cells, axes) array of index tuples,
-  * produce a deterministic topological statement order, and
-  * classify temporal structure per index (IID / RECURRENCE / DBN / GENERAL).
+  * produce a deterministic topological statement order.
 """
 
 from __future__ import annotations
@@ -28,15 +27,10 @@ from .errors import (
     RangeConflictError, UndefinedReferenceError,
 )
 from .frontend.nodes import (
-    ArrayLookup, AssignStmt, IndexVar, IntLiteral, Lag, ProgramAst, Ref,
-    SampleStmt, Stmt, VarRef, stmt_exprs, walk_exprs,
+    ArrayLookup, AssignStmt, IndexVar, IntLiteral, Lag, ProgramAst, Ref, Stmt,
+    stmt_exprs, walk_exprs,
 )
 from .frontend.render import render_var_ref
-
-IID_BLOCK = "IID_BLOCK"
-RECURRENCE = "RECURRENCE"
-DBN_BLOCK = "DBN_BLOCK"
-GENERAL = "GENERAL"
 
 
 def instance_name(var: str, key: tuple[int, ...]) -> str:
@@ -53,7 +47,6 @@ class DepEdge:
     terms: tuple                      # raw index terms of the reference
     lag_by_axis: dict[str, int]       # axis name -> lag (0 = same slice)
     has_lookup: bool
-    fixed_positions: tuple[int, ...]  # positions referenced with a literal
 
     @property
     def max_lag(self) -> int:
@@ -81,21 +74,6 @@ class GraphNode:
 
     def describe(self) -> str:
         return render_var_ref(self.stmt.lhs)
-
-
-@dataclass(slots=True)
-class StructureEntry:
-    index: str
-    kind: str
-    members: tuple[str, ...]
-    max_lag: int = 0
-    replication_axes: tuple[str, ...] = ()
-
-
-@dataclass(slots=True)
-class StructureReport:
-    entries: dict[str, StructureEntry]
-    parameters: tuple[str, ...]
 
 
 @dataclass(slots=True)
@@ -244,20 +222,16 @@ def _collect_deps(node: GraphNode, stmt: Stmt, variables, inputs, var_axes) -> N
                 raise UndefinedReferenceError(
                     f"{ref.name!r} is not defined by any statement or input")
             lag_by_axis: dict[str, int] = {}
-            fixed = []
             has_lookup = False
-            for p, term in enumerate(ref.indices):
+            for term in ref.indices:
                 if isinstance(term, IndexVar):
                     lag_by_axis[term.name] = max(lag_by_axis.get(term.name, 0), 0)
                 elif isinstance(term, Lag):
                     lag_by_axis[term.name] = max(lag_by_axis.get(term.name, 0), term.offset)
-                elif isinstance(term, IntLiteral):
-                    fixed.append(p)
-                else:
+                elif isinstance(term, ArrayLookup):
                     has_lookup = True
             edge = DepEdge(target=ref.name, terms=ref.indices,
-                           lag_by_axis=lag_by_axis, has_lookup=has_lookup,
-                           fixed_positions=tuple(fixed))
+                           lag_by_axis=lag_by_axis, has_lookup=has_lookup)
             node.deps.append(edge)
             for axis, lag in lag_by_axis.items():
                 if lag > node.lag_by_axis.get(axis, 0):
@@ -419,96 +393,6 @@ def topo_order(graph: ModelGraph) -> list[GraphNode]:
         raise CycleDetectedError(
             "cyclic dependencies among " + ", ".join(stuck), cycle=tuple(stuck))
     return out
-
-
-# --- structure detection --------------------------------------------------------------
-
-
-def detect_structure(graph: ModelGraph) -> StructureReport:
-    """Classify temporal structure per index; see module docstring."""
-    parameters = tuple(sorted(v for v, axes in graph.var_axes.items() if not axes))
-    entries: dict[str, StructureEntry] = {}
-
-    all_axes = {d.name for d in graph.ast.indices}
-    for v, axes in graph.var_axes.items():
-        all_axes.update(a for a in axes if a is not None)
-
-    for index in sorted(all_axes):
-        members = sorted(
-            v for v, axes in graph.var_axes.items()
-            if axes and axes[-1] == index
-            and any(n.selector and n.selector[-1] == ("sym", index)
-                    for n in graph.by_var[v]))
-        if not members:
-            continue
-        member_set = set(members)
-        kind = None
-        max_lag = 0
-        replication: tuple[str, ...] | None = None
-        for v in members:
-            axes = graph.var_axes[v]
-            rep = tuple(a for a in axes[:-1])
-            if replication is None:
-                replication = rep
-            elif replication != rep:
-                kind = GENERAL
-            for node in graph.by_var[v]:
-                for edge in node.deps:
-                    if edge.target not in graph.var_axes:
-                        continue
-                    tgt_axes = graph.var_axes[edge.target]
-                    if not tgt_axes:
-                        continue  # parameter dep is always fine
-                    ok = (edge.target in member_set and not edge.has_lookup
-                          and not edge.fixed_positions
-                          and tgt_axes == axes
-                          and all(edge.lag_by_axis.get(a, 0) == 0
-                                  for a in axes[:-1] if a is not None))
-                    if not ok:
-                        kind = GENERAL
-                        continue
-                    max_lag = max(max_lag, edge.lag_by_axis.get(index, 0))
-        if kind is None:
-            lagged = max_lag > 0
-            within = _has_within_slice_member_edges(graph, member_set)
-            if not lagged and not within:
-                kind = IID_BLOCK if _members_param_only(graph, member_set) else GENERAL
-            elif len(members) == 1 and not within and _self_only(graph, members[0]):
-                kind = RECURRENCE
-            else:
-                kind = DBN_BLOCK
-        if None in (replication or ()):
-            kind = GENERAL
-        entries[index] = StructureEntry(
-            index=index, kind=kind, members=tuple(members), max_lag=max_lag,
-            replication_axes=tuple(a for a in (replication or ()) if a is not None))
-    return StructureReport(entries=entries, parameters=parameters)
-
-
-def _members_param_only(graph: ModelGraph, member_set) -> bool:
-    for v in member_set:
-        for node in graph.by_var[v]:
-            for edge in node.deps:
-                if graph.var_axes.get(edge.target):
-                    return False
-    return True
-
-
-def _has_within_slice_member_edges(graph: ModelGraph, member_set) -> bool:
-    for v in member_set:
-        for node in graph.by_var[v]:
-            for edge in node.deps:
-                if edge.target in member_set and edge.target != v and edge.max_lag == 0:
-                    return True
-    return False
-
-
-def _self_only(graph: ModelGraph, var: str) -> bool:
-    for node in graph.by_var[var]:
-        for edge in node.deps:
-            if graph.var_axes.get(edge.target) and edge.target != var:
-                return False
-    return True
 
 
 # --- DOT output --------------------------------------------------------------------

@@ -28,9 +28,9 @@ The latent vector layout is shared by both modes: transformed parameters in
 statement topological order, then one slot per missing (imputed) cell in
 (variable, index-tuple) lexicographic order. It is columnar: a list of
 `SlotRun`s, each a run of consecutive offsets over one variable's flat
-positions with one kind, distribution and transform. Site names and the
-per-slot `Slot` list are built from the runs only when asked for; FUSED
-compilation and prior simulation never ask.
+positions with one kind, distribution and transform. Site names are
+built from the runs only when asked for; FUSED compilation and prior
+simulation never ask.
 
 Prior simulation (`prior_simulate`) walks blocks of cells in UNROLLED order:
 statements in topological order, each statement's blocks in domain order,
@@ -330,18 +330,6 @@ def _finite_input(name, key, v: float) -> float:
 
 
 # --- latent layout ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Slot:
-    """One latent slot, as `ExecutablePlan.slots` lists them."""
-    name: str
-    variable: str
-    key: tuple
-    kind: str                    # LATENT_PARAM | MISSING_IMPUTED
-    transform: object
-    offset: int
-    dist: str
 
 
 @dataclass(slots=True)
@@ -806,15 +794,6 @@ class ExecutablePlan:
     def site_names(self) -> list:
         return [instance_name(run.variable, key)
                 for run in self.runs for key in _run_keys(self.bound, run)]
-
-    @functools.cached_property
-    def slots(self) -> list:
-        """One `Slot` per latent slot, in offset order; built from the runs
-        on first access."""
-        return [Slot(instance_name(run.variable, key), run.variable, key,
-                     run.kind, run.transform, run.offset + i, run.dist)
-                for run in self.runs
-                for i, key in enumerate(_run_keys(self.bound, run))]
 
     @property
     def n_latent_params(self) -> int:

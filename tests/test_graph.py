@@ -1,4 +1,4 @@
-"""Dependency graph construction, domains, topological order, and structure tags."""
+"""Dependency graph construction, domains, topological order, and DOT output."""
 
 import numpy as np
 import pytest
@@ -31,64 +31,6 @@ a ~ N(0, 1)
 y[0] ~ N(0, 1)
 y[t] ~ N(a * y[t-1], 1)
 """
-
-
-def classify(name):
-    graph = build(model_text(name))
-    return g.detect_structure(graph)
-
-
-def test_ar1_is_a_recurrence():
-    rep = classify("ar1.ldm")
-    e = rep.entries["t"]
-    assert e.kind == g.RECURRENCE
-    assert e.members == ("y",)
-    assert e.max_lag == 1
-    assert e.replication_axes == ()
-    assert rep.parameters == ("a", "b", "sigma")
-
-
-def test_ar2_lag_two_recurrence():
-    e = classify("ar2.ldm").entries["t"]
-    assert e.kind == g.RECURRENCE
-    assert e.max_lag == 2
-
-
-@pytest.mark.parametrize("name", ["dbn.ldm", "dbn_simplified.ldm", "ar1_multi.ldm"])
-def test_coupled_chains_classify_as_dbn_block(name):
-    rep = classify(name)
-    assert list(rep.entries) == ["t"]
-    e = rep.entries["t"]
-    assert e.kind == g.DBN_BLOCK
-    assert e.members == ("A", "C", "EM", "IM", "P")
-    assert e.max_lag == 1
-    assert e.replication_axes == ("n",)
-
-
-def test_iid_and_general_axes():
-    rep = classify("binomial_logits.ldm")
-    assert rep.entries["j"].kind == g.IID_BLOCK
-    assert rep.entries["j"].members == ("a",)
-    # table lookups break vectorizable structure on the observation axis
-    assert rep.entries["i"].kind == g.GENERAL
-
-    rep = classify("multilevel_a.ldm")
-    assert rep.entries["j"].kind == g.IID_BLOCK
-    assert rep.entries["i"].kind == g.GENERAL
-
-    rep = classify("multilevel_b.ldm")
-    for axis in "jkl":
-        assert rep.entries[axis].kind == g.IID_BLOCK
-    assert rep.entries["i"].kind == g.GENERAL
-    assert rep.entries["i"].members == ("logit_p", "pulled_left")
-
-
-def test_scalar_models_have_no_structure_entries():
-    rep = classify("zero_inflated.ldm")
-    assert rep.entries == {}
-    assert set(rep.parameters) == {"al", "ap", "y"}
-    rep = classify("linear_regression.ldm")
-    assert rep.entries == {}
 
 
 def test_resolve_indices_from_header():
@@ -176,6 +118,16 @@ Indices: t 0 3
 x[t] ~ N(x[t], 1)
 """
     graph = build(src)
+    with pytest.raises(CycleDetectedError, match="itself within a slice"):
+        g.topo_order(graph)
+
+
+def test_literal_self_read_is_a_cycle():
+    # x[0] lies in the domain of x[t] itself; a literal is not a lookup
+    graph = build("""ProgramName: M
+Indices: t 0 3
+x[t] ~ N(x[0], 1)
+""")
     with pytest.raises(CycleDetectedError, match="itself within a slice"):
         g.topo_order(graph)
 

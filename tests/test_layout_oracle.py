@@ -3,12 +3,13 @@ they replaced.
 
 `reference_domains` is `graph.assign_domains` as it was when it walked every
 cell, with its helpers `var_grid`, `node_candidates` and `_matches`;
-`reference_slots` is `plan.build_layout` as it was when it made one `Slot`
+`reference_slots` is `plan.build_layout` as it was when it made one record
 per latent cell. Both are copied here unchanged but for their inputs and
 outputs (domains come back as a dict keyed by statement order instead of
-being stored on the nodes). The array code must give the same keys per
-statement in the same order, the same slots, and the same error type and
-message, naming the same first cell.
+being stored on the nodes, slots as tuples). The array code must give the
+same keys per statement in the same order, the same slots when its runs are
+expanded cell by cell, and the same error type and message, naming the same
+first cell.
 """
 
 import itertools
@@ -185,8 +186,11 @@ def assert_same_slots(source, tables=(), obs=(), inputs=None):
     for node in plan.graph.nodes:
         assert [tuple(k) for k in node.domain.tolist()] == domains[node.order]
     slots, simulate_only = reference_slots(plan.bound, domains)
-    assert [(s.name, s.variable, s.key, s.kind, s.transform, s.offset, s.dist)
-            for s in plan.slots] == slots
+    assert [(g.instance_name(run.variable, key), run.variable, key, run.kind,
+             run.transform, run.offset + i, run.dist)
+            for run in plan.runs
+            for i, key in enumerate(_keys_at(plan.bound.layouts[run.variable],
+                                             run.pos))] == slots
     assert plan.simulate_only == simulate_only
     assert plan.site_names == [s[0] for s in slots]
     assert plan.latent_dim == len(slots)

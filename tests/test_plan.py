@@ -75,10 +75,11 @@ def test_missing_cells_become_latent_slots():
     assert plan.latent_dim == 3 + len(missing)
     assert plan.n_latent_params == 3
     assert plan.n_observed == 60 - len(missing)
-    imputed = [s for s in plan.slots if s.kind == pl.MISSING_IMPUTED]
-    assert [s.name for s in imputed] == [f"y[{t}]" for t in missing]
     # imputed slots sit in one contiguous run after the parameters
-    assert [s.offset for s in imputed] == list(range(3, 3 + len(missing)))
+    imputed = [run for run in plan.runs if run.kind == pl.MISSING_IMPUTED]
+    assert [(run.variable, run.offset, len(run.pos)) for run in imputed] == [
+        ("y", 3, len(missing))]
+    assert plan.site_names[3:] == [f"y[{t}]" for t in missing]
 
 
 PANEL_AR1 = """ProgramName: PanelAR1
@@ -108,7 +109,8 @@ def test_table_binds_by_index_names_whatever_the_row_and_column_order():
     a, b = plans
     assert a.site_names == b.site_names == ["a", "s", "y[0,2]", "y[1,1]",
                                             "y[2,3]"]
-    assert [s.kind for s in a.slots] == [s.kind for s in b.slots]
+    assert ([(r.kind, r.offset, len(r.pos)) for r in a.runs]
+            == [(r.kind, r.offset, len(r.pos)) for r in b.runs])
     assert a.n_observed == b.n_observed == len(keys) - 3
     for seed in range(3):
         u = np.random.default_rng(seed).normal(size=a.latent_dim)
@@ -118,7 +120,7 @@ def test_table_binds_by_index_names_whatever_the_row_and_column_order():
 def test_fully_observed_data_leaves_only_parameters():
     plan = pl.compile_model(AR1_SMALL, tables=(ar1_table(),), obs=("y",))
     assert plan.latent_dim == 3
-    assert all(s.kind == pl.LATENT_PARAM for s in plan.slots)
+    assert all(run.kind == pl.LATENT_PARAM for run in plan.runs)
 
 
 def test_fused_plan_emits_scan_for_recurrences():
@@ -423,7 +425,9 @@ def test_prior_simulate_linear_gaussian_dbn_matches_closed_form():
 @pytest.mark.parametrize("name,axes", [
     ("ar1.ldm", set()), ("ar1_multi.ldm", {"n"}), ("dbn.ldm", {"n"}),
     ("binomial_logits.ldm", {"i"}), ("multilevel_b.ldm", {"i"}),
-    ("linear_regression.ldm", set())])
+    ("linear_regression.ldm", set()), ("dbn_simplified.ldm", {"n"}),
+    ("ar2.ldm", set()), ("multilevel_a.ldm", {"i"}),
+    ("zero_inflated.ldm", set())])
 def test_replicate_axes(name, axes):
     # an axis read with a lag, a literal or a lookup is walked cell by cell
     graph = pl.build_graph(pl.parse_program(model_text(name)))
@@ -638,29 +642,26 @@ def dbn_panel(n):
 
 def test_compile_and_simulate_make_no_per_cell_names_or_slots(monkeypatch):
     """Compiling and prior-simulating the DBN makes as many site names at
-    n=5 as at n=50, and no `Slot`: neither grows with the cells."""
+    n=5 as at n=50: they do not grow with the cells."""
     from ldmlang import graph as g
-    calls = {"instance_name": 0, "Slot": 0}
+    calls = 0
+    instance_name = g.instance_name
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return instance_name(*args, **kwargs)
 
-    names = counted("instance_name", g.instance_name)
-    monkeypatch.setattr(g, "instance_name", names)
-    monkeypatch.setattr(pl, "instance_name", names)
-    monkeypatch.setattr(pl, "Slot", counted("Slot", pl.Slot))
+    monkeypatch.setattr(g, "instance_name", counted)
+    monkeypatch.setattr(pl, "instance_name", counted)
     counts = []
     for n in (5, 50):
-        calls.update(instance_name=0, Slot=0)
+        calls = 0
         plan = pl.compile_model(dbn_panel(n))
         pl.prior_simulate(plan, np.random.default_rng(1), 2)
-        counts.append(dict(calls))
+        counts.append(calls)
     assert plan.latent_dim == 20 + 5 * 50 * 38
     assert counts[0] == counts[1]
-    assert counts[1]["Slot"] == 0
 
 
 def test_latent_vector_shape_and_nan_checks():
