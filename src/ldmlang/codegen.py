@@ -7,14 +7,24 @@ scalar latent read per slot, one named value per deterministic cell and one
 scalar term per stochastic cell. The `Source` writes straight-line NumPy
 statements for the forward pass and keeps, for every statement that depends
 on the latent vector, how to send its adjoint back to its operands. `build`
-emits three Python functions from that source, compiled once on first use:
+emits four Python functions from that source, each written or compiled on
+its first use:
 
   * value(u)            log density;
   * value_and_grad(u)   log density and gradient; a value that is NaN or
                         +-inf returns early with a zero gradient (NaN as
                         -inf), so invalid parameters need no masking where
                         the closed form already yields NaN or -inf;
-  * observed(u)         the sum over OBSERVED cells only.
+  * observed(u)         the sum over OBSERVED cells only;
+  * values(U)           the log density at each row of U, of shape (K, dim):
+                        value(u)'s statements over K points at once, with
+                        a scalar as a (K, 1) column, a vector as a (K, n)
+                        array, latent reads and gathers on the last axis,
+                        and each term summed over it. Each row has value(u)'s
+                        bits at that row: an operation that value(u) runs on
+                        an np.float64 and that rounds differently over an
+                        array (`**`, the special functions) runs element by
+                        element (see `_batched`).
 
 Sub-expressions that do not depend on the latent vector are folded at
 compile time, by evaluating the same expression text with NumPy, so they
@@ -42,8 +52,18 @@ import numpy as np
 
 from . import distributions as dist
 
+
+def _each(f, *args):
+    """f over the elements of args (arrays of one shape, or floats), each
+    element passed as an np.float64: the path that value(u) takes for a
+    scalar, which can round differently from f over an array."""
+    cols = np.broadcast_arrays(*args)
+    out = [f(*vals) for vals in zip(*(c.ravel() for c in cols))]
+    return np.array(out, dtype=float).reshape(cols[0].shape)
+
+
 _NAMESPACE = {
-    "np": np, "inf": math.inf, "nan": math.nan,
+    "np": np, "inf": math.inf, "nan": math.nan, "each": _each,
     "expit": dist.expit, "logit": dist.logit,
     "gammaln": dist.gammaln, "digamma": dist.digamma,
     "PI": math.pi,
@@ -120,8 +140,11 @@ class Source:
         self.ns = dict(_NAMESPACE)
         self.lines: list[str] = []        # forward statements
         self.tape: list[tuple] = []       # reverse records, forward order
-        self.parts: list[str] = []        # summands of the log density
-        self.obs_parts: list[str] = []    # summands of the observed loglik
+        # summands of the log density and of the observed loglik, as
+        # (code, kind): kind "const", "scalar", or "vector" (summed)
+        self.parts: list[tuple[str, str]] = []
+        self.obs_parts: list[tuple[str, str]] = []
+        self.width = dim                  # longest vector, for batching
         self._k = 0
 
     # -- values -------------------------------------------------------------
@@ -138,6 +161,7 @@ class Source:
                 ("inf" if x > 0 else "(-inf)") if math.isinf(x) else \
                 f"({x!r})" if math.copysign(1.0, x) < 0 else repr(x)
             return Val(code, None, False)
+        self.width = max(self.width, len(value))
         return Val(self._array("c", value), len(value), False)
 
     def _array(self, hint: str, value: np.ndarray) -> str:
@@ -208,6 +232,7 @@ class Source:
         key = self._key(offsets)
         n = None if isinstance(offsets, (int, np.integer)) else len(offsets)
         useg = Val(self._name("u"), n, True)
+        self.width = max(self.width, n or 0)
         self.lines.append(f"{useg.code} = u[{key}]")
         value, jac, _, _ = TRANSFORMS[kind]
         x = useg
@@ -215,8 +240,8 @@ class Source:
             x = Val(self._name("x"), n, True)
             self.lines.append(f"{x.code} = {value.format(useg.code)}")
         if jac:
-            j = jac.format(useg.code)
-            self.parts.append(f"({j})" if n is None else f"({j}).sum()")
+            self.parts.append((f"({jac.format(useg.code)})",
+                               "scalar" if n is None else "vector"))
         self.tape.append(("latent", x, useg, key, kind))
         return x
 
@@ -224,6 +249,7 @@ class Source:
         """A model variable's flat array: observed `base` with each latent
         Val of `puts` [(positions, Val)] written at its positions."""
         arr = Val(self._name("a"), len(base), True)
+        self.width = max(self.width, len(base))
         if len(puts) == 1 and np.array_equal(puts[0][0], np.arange(len(base))):
             self.lines.append(f"{arr.code} = {puts[0][1].code}")
             self.tape.append(("put", arr, None, puts[0][1]))
@@ -259,6 +285,7 @@ class Source:
             if counts.max() < 2:
                 counts = None
         n = None if isinstance(pos, (int, np.integer)) else len(pos)
+        self.width = max(self.width, n or 0)
         out = Val(self._name("g"), n, True, fixed)
         self.lines.append(f"{out.code} = {arr.code}[{key}]")
         self.tape.append(("index", out, arr, key, counts))
@@ -274,17 +301,18 @@ class Source:
         if not lp.active:
             with np.errstate(all="ignore"):
                 total = self.value(lp)
-                self.parts.append(self.const(np.sum(total)).code)
+                self.parts.append((self.const(np.sum(total)).code, "const"))
                 if observed is not False:
                     sel = total if observed is True else total[observed]
-                    self.obs_parts.append(self.const(np.sum(sel)).code)
+                    self.obs_parts.append((self.const(np.sum(sel)).code,
+                                           "const"))
             return
-        self.parts.append(lp.code if lp.n is None else f"{lp.code}.sum()")
+        self.parts.append((lp.code, "scalar" if lp.n is None else "vector"))
         if observed is True:
             self.obs_parts.append(self.parts[-1])
         elif observed is not False:
             self.obs_parts.append(
-                f"{lp.code}[{self._array('p', observed)}].sum()")
+                (f"{lp.code}[{self._array('p', observed)}]", "vector"))
         self.tape.append(("term", lp, [(a, p) for a, p in pairs if a.active]))
 
     # -- reverse sweep -------------------------------------------------------
@@ -327,7 +355,7 @@ class Source:
             pv = self._partial(p, rev)
             code, n = _times(g, pv.code), gn if gn is not None else pv.n
             if arg.n is None and out_n is not None:
-                code = f"({code}).sum()" if n is not None \
+                code = f"np.add.reduce({code})" if n is not None \
                     else f"{out_n} * ({code})"
                 n = None
             add(arg, code, n)
@@ -372,7 +400,8 @@ class Source:
                 _, _, key, x = rec
                 code = g if key is None else f"{g}[{key}]"
                 if key is not None and x.n is None:
-                    code += ".sum()"    # a scalar written to several rows
+                    # a scalar written to several rows
+                    code = f"np.add.reduce({code})"
                 add(x, code, x.n)
         return rev
 
@@ -393,42 +422,160 @@ class Source:
             "    return float(lp), g\n\n"
             f"def observed(u):\n{fwd}{observed}"
             "    return float(lp) if lp == lp else -inf\n")
-        return Program(text, self.ns)
+        return Program(text, self.ns, self.parts, self.width)
 
 
 _SUM_LINE = 64
 
 
-def _sum(parts) -> str:
+def _sum(parts, rows=False) -> str:
     """Statements that add `parts` into lp, left to right, at most
     _SUM_LINE parts per line: compiling a chain of `+` recurses once per
     operand, so one line for the thousands of terms of a per-cell plan
     would exceed the recursion limit. Python adds left to right either
-    way, so the split rounds exactly as one line does."""
-    lines = [f"    lp = {' + '.join(parts[:_SUM_LINE]) or '0.0'}\n"]
-    for i in range(_SUM_LINE, len(parts), _SUM_LINE):
-        lines.append(f"    lp = lp + {' + '.join(parts[i:i + _SUM_LINE])}\n")
+    way, so the split rounds exactly as one line does. With `rows`, each
+    part is one value per row of a (K, n) batch."""
+    codes = []
+    for code, kind in parts:
+        if kind == "vector":
+            code = f"np.add.reduce({code}, 1)" if rows \
+                else f"np.add.reduce({code})"
+        elif kind == "scalar" and rows:
+            code = f"{code}[:, 0]"
+        codes.append(code)
+    lines = [f"    lp = {' + '.join(codes[:_SUM_LINE]) or '0.0'}\n"]
+    for i in range(_SUM_LINE, len(codes), _SUM_LINE):
+        lines.append(f"    lp = lp + {' + '.join(codes[i:i + _SUM_LINE])}\n")
     return "".join(lines)
 
 
+# the forward statements of value(u), as written by Source: NAME = RHS, or
+# NAME[KEY] = RHS for a latent piece put into an assembled array
+_STATEMENT = re.compile(r"    (\w+)(?:\[(.+)\])? = (.+)")
+_READ = re.compile(r"(u|a_\d+)\[(.+)\]")       # a latent read or a gather
+_GENERATED = re.compile(r"\b[a-z]+_\d+\b")       # names made by Source._name
+_SCALAR_CALL = re.compile(r"\b(expit|logit|gammaln|digamma)\(")
+_POWER = re.compile(r"(\S+) \*\* (\S+)")
+
+
+def _scalar_paths(rhs: str, vector) -> str:
+    """rhs with each operation that value(u) evaluates on np.float64
+    operands and that rounds differently over an array written as an
+    `each` call: the special functions of `distributions`, which take a
+    `math` path for a float, and `**`. vector(names) says whether any of
+    the names is a vector."""
+    power = _POWER.fullmatch(rhs)
+    if power:
+        return rhs if vector(_GENERATED.findall(rhs)) \
+            else f"each(pow, {power[1]}, {power[2]})"
+    out, done = [], 0
+    for m in _SCALAR_CALL.finditer(rhs):
+        depth, end = 1, m.end()
+        while depth:
+            depth += {"(": 1, ")": -1}.get(rhs[end], 0)
+            end += 1
+        names = _GENERATED.findall(rhs, m.end(), end)
+        if names and not vector(names):
+            out.append(f"{rhs[done:m.start()]}each({m[1]}, ")
+            done = m.end()
+    return "".join(out) + rhs[done:]
+
+
+def _batched(value_source: str, parts) -> str:
+    """values(U): value(u)'s statements over the K rows of U at once.
+
+    A scalar becomes a (K, 1) column and a vector of n a (K, n) array, C
+    ordered so that each row sums as the vector does: latent reads and
+    gathers index the last axis (np.take for a position array, whose
+    fancy-index form would be Fortran ordered), and assembled arrays are
+    K copies of their observed base. Each term sums over the last axis.
+    Every row rounds as value(u) at that row does."""
+    vectors, local = set(), set()
+
+    def vector(names):
+        return any(n in vectors or n.startswith("c_") for n in names)
+
+    body = []
+    for line in value_source.split("\n")[1:]:
+        if line.startswith("    lp = "):
+            break
+        name, key, rhs = _STATEMENT.fullmatch(line).groups()
+        local.add(name)
+        read = _READ.fullmatch(rhs)
+        if key is not None:
+            body.append(f"    {name}[:, {_columns(key)}] = {rhs}")
+            continue
+        if read:
+            src, key = read.groups()
+            src = "U" if src == "u" else src
+            rhs = f"np.take({src}, {key}, 1)" if key.startswith("p_") \
+                else f"{src}[:, {_columns(key)}]"
+            if not key.isdigit():
+                vectors.add(name)
+        elif rhs.endswith(".copy()"):
+            rhs = f"np.tile({rhs[:-len('.copy()')]}, (len(U), 1))"
+            vectors.add(name)
+        else:
+            if vector(_GENERATED.findall(rhs)):
+                vectors.add(name)
+            rhs = _scalar_paths(rhs, vector)
+        body.append(f"    {name} = {rhs}")
+    total = _sum(parts, rows=True)
+    # each local is deleted after its last use: a (K, n) temporary is K
+    # times the size of value(u)'s, and a function holds its locals until
+    # it returns
+    live = set(_GENERATED.findall(total))
+    out = [total]
+    for line in reversed(body):
+        names = set(_GENERATED.findall(line))
+        dead = sorted((names - live) & local)
+        if dead:
+            out.append(f"    del {', '.join(dead)}\n")
+        out.append(line + "\n")
+        live |= names
+    out.append("def values(U):\n")
+    out.reverse()
+    if all(kind == "const" for _, kind in parts):
+        out.append("    lp = np.full(len(U), lp)\n")
+    out.append("    return np.where(lp == lp, lp, -inf)\n")
+    return "".join(out)
+
+
+def _columns(key: str) -> str:
+    """A subscript of value(u) as a subscript of the last axis; one
+    position as a slice of one, so that a scalar stays a column."""
+    return f"{key}:{int(key) + 1}" if key.isdigit() else key
+
+
 class Program:
-    """The generated functions `value`, `value_and_grad` and `observed` of
-    one plan. Each function is compiled on its first use, so a plan that
-    only simulates never pays for them, and compiling the long source of
-    a per-cell plan holds the syntax tree of one function at a time."""
+    """The generated functions of one plan: `value`, `value_and_grad` and
+    `observed` over one latent vector u, and `values` over the rows of a
+    (K, dim) array U. Each function is compiled on its first use, so a plan
+    that only simulates never pays for them, and compiling the long source
+    of a per-cell plan holds the syntax tree of one function at a time;
+    `values` is also written then, from value(u)'s source. `width` is the
+    longest vector in a call, dim included."""
 
     _FUNCTIONS = ("value", "value_and_grad", "observed")
 
-    def __init__(self, source: str, namespace: dict):
+    def __init__(self, source: str, namespace: dict, parts, width: int):
         self.source = source
         self._ns = namespace
+        self._parts = parts
+        self.width = width
 
-    def __getattr__(self, name):
-        if name not in self._FUNCTIONS:
-            raise AttributeError(name)
+    def _text(self, name: str) -> str:
         start = self.source.index(f"def {name}(u):")
         end = self.source.find("\n\ndef ", start)
-        text = self.source[start:] if end < 0 else self.source[start:end]
+        return self.source[start:] if end < 0 else self.source[start:end]
+
+    def __getattr__(self, name):
+        if name == "values":
+            text = _batched(self._text("value"), self._parts)
+        elif name in self._FUNCTIONS:
+            text = self._text(name)
+        else:
+            raise AttributeError(name)
         exec(compile(text, "<ldmlang plan>", "exec"), self._ns)
         setattr(self, name, self._ns[name])
         return self._ns[name]

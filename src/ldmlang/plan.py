@@ -850,12 +850,27 @@ class ExecutablePlan:
         """Log density at u, -inf off the support. NaN anywhere in u raises
         NonFiniteDensityError and a u of the wrong shape ValueError."""
         u = self._latent(u)
-        with np.errstate(all="ignore"):
-            value = float(self.eval_logdensity(u))
+        value = float(_quietly(self.eval_logdensity, u))
         # a NaN slot makes its own prior term, and so the value, non-finite
         if not -math.inf < value < math.inf and np.isnan(u).any():
             raise NonFiniteDensityError("latent vector contains NaN")
         return value
+
+    def logdensities(self, U) -> np.ndarray:
+        """Log densities at the rows of U, of shape (K, latent_dim): entry i
+        is logdensity(U[i]), to the bit, from generated code that evaluates
+        up to _BATCH_FLOATS / program width rows per call. A row that holds
+        NaN and has no finite value raises NonFiniteDensityError, and a U of
+        another shape ValueError."""
+        U = np.ascontiguousarray(U, dtype=float)
+        if U.ndim != 2 or U.shape[1] != self.latent_dim:
+            raise ValueError(f"latent rows must have shape "
+                             f"(K, {self.latent_dim}), got {U.shape}")
+        self._check_evaluable()
+        values = _quietly(_batches, self._program, U)
+        if np.isnan(U[~(np.abs(values) < math.inf)]).any():
+            raise NonFiniteDensityError("latent vector contains NaN")
+        return values
 
     def compile_gradient(self) -> None:
         """Compile the generated value-and-gradient function now rather
@@ -872,10 +887,8 @@ class ExecutablePlan:
         treat the point as rejected."""
         u = self._latent(u)
         self._check_evaluable()
-        with np.errstate(all="ignore"):
-            value, grad = self._program.value_and_grad(u)
-            # grad . 0 is NaN exactly when an entry of grad is inf or NaN
-            bad_grad = math.isnan(grad @ self._latent_zeros)
+        value, grad, bad_grad = _quietly(_value_and_grad, self._program, u,
+                                         self._latent_zeros)
         if not -math.inf < value < math.inf and np.isnan(u).any():
             raise NonFiniteDensityError("latent vector contains NaN")
         if bad_grad:
@@ -888,6 +901,32 @@ class ExecutablePlan:
         u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             return self._program.observed(u)
+
+
+# rows of U per generated values(U) call, times the program's width: a
+# bound on the floats in each of the call's temporaries
+_BATCH_FLOATS = 8192
+
+
+@np.errstate(all="ignore")
+def _quietly(f, *args):
+    """f(*args) with NumPy's floating-point warnings off; as a decorator,
+    errstate costs half of what a with-block does per call."""
+    return f(*args)
+
+
+def _value_and_grad(program, u, zeros):
+    value, grad = program.value_and_grad(u)
+    # grad . 0 is NaN exactly when an entry of grad is inf or NaN
+    return value, grad, math.isnan(grad.dot(zeros))
+
+
+def _batches(program, U):
+    rows = max(1, _BATCH_FLOATS // max(1, program.width))
+    if len(U) <= rows:
+        return program.values(U)
+    return np.concatenate([program.values(U[i:i + rows])
+                           for i in range(0, len(U), rows)])
 
 
 def lower(bound: BoundModel, mode: str = FUSED) -> ExecutablePlan:

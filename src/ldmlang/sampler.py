@@ -78,10 +78,15 @@ def leapfrog(grad_fn, u, p, eps, inv_mass, g=None):
     grad_fn(u) -> (logdensity, gradient). Returns (u', p', logp', grad')."""
     if g is None:
         _, g = grad_fn(u)
-    p_half = p + 0.5 * eps * g
-    u_new = u + eps * (inv_mass * p_half)
+    half = 0.5 * eps
+    p_half = half * g
+    p_half += p
+    u_new = inv_mass * p_half
+    u_new *= eps
+    u_new += u
     v_new, g_new = grad_fn(u_new)
-    p_new = p_half + 0.5 * eps * g_new
+    p_new = half * g_new
+    p_new += p_half
     return u_new, p_new, v_new, g_new
 
 
@@ -105,11 +110,6 @@ def _logaddexp(x: float, y: float) -> float:
     return d                        # NaN
 
 
-def _turned(w_first, w_last, rho) -> bool:
-    """Either end's velocity (inv_mass * p) opposes the net motion rho."""
-    return w_first.dot(rho) <= 0.0 or w_last.dot(rho) <= 0.0
-
-
 # A trajectory piece is the tuple (p_beg, w_beg, p_end, w_end, rho,
 # log_sum_w, proposal, alpha_sum): its first and last momenta and velocities
 # in integration order, its momentum sum, the log of its summed weights
@@ -119,14 +119,20 @@ def _turned(w_first, w_last, rho) -> bool:
 def _join(left, right):
     """Momentum sum of two adjacent pieces (left first in integration order)
     and whether the joined piece turns: generalized U-turn checks on the
-    whole, and on each piece extended by the nearest state of the other."""
+    whole, and on each piece extended by the nearest state of the other. A
+    check fails where either end's velocity (inv_mass * p) opposes the net
+    motion."""
     # states a, b (left's ends) and c, d (right's ends) in trajectory order
     p_a, w_a, p_b, w_b, rho_l = left[:5]
     p_c, w_c, _, w_d, rho_r = right[:5]
     rho = rho_l + rho_r
-    return rho, (_turned(w_a, w_d, rho)
-                 or _turned(w_a, w_b, rho_l + p_c)
-                 or _turned(w_c, w_d, p_b + rho_r))
+    if w_a.dot(rho) <= 0.0 or w_d.dot(rho) <= 0.0:
+        return rho, True
+    rho_ac = rho_l + p_c
+    if w_a.dot(rho_ac) <= 0.0 or w_b.dot(rho_ac) <= 0.0:
+        return rho, True
+    rho_bd = p_b + rho_r
+    return rho, w_c.dot(rho_bd) <= 0.0 or w_d.dot(rho_bd) <= 0.0
 
 
 def _subtree(rng, grad_fn, depth, step, u, p, g, h0, inv_mass):
@@ -147,10 +153,12 @@ def _subtree(rng, grad_fn, depth, step, u, p, g, h0, inv_mass):
         h = -v + _kinetic(p, inv_mass) if math.isfinite(v) else math.inf
         dh = h0 - h
         divergent = not math.isfinite(h) or (h - h0) > _DIVERGENCE_THRESHOLD
-        finite = math.isfinite(dh)
-        alpha = math.exp(min(0.0, dh)) if finite else 0.0
+        if math.isfinite(dh):
+            alpha = math.exp(dh) if dh < 0.0 else 1.0
+        else:
+            alpha, dh = 0.0, -math.inf
         w = inv_mass * p
-        piece = (p, w, p, w, p, dh if finite else -math.inf, (u, v, g), alpha)
+        piece = (p, w, p, w, p, dh, (u, v, g), alpha)
         stop = divergent
         k = 0
         while not stop and i >> k & 1:
@@ -463,7 +471,7 @@ def _chain(plan, cfg, stream, chain, init_attempts):
             f"chain {chain}: no finite log density found in "
             f"{init_attempts} initialization attempts")
 
-    u, v, g, inv_mass, path = pathfinder(rng, grad_fn, plan.logdensity,
+    u, v, g, inv_mass, path = pathfinder(rng, grad_fn, plan.logdensities,
                                          u, v, g)
     n_warmup += path["gradients"]
     eps, n = find_reasonable_epsilon(rng, grad_fn, u, v, g, inv_mass)

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ldmlang import cli, sampler
+from ldmlang import cli, codegen, sampler
 from ldmlang.cli import main
 from ldmlang.datatable import read_table
 
@@ -87,6 +87,27 @@ def test_simulate_writes_table_and_manifest(model_file, tmp_path, capsys):
     assert man["command"] == "simulate"
     assert man["seed"] == 3
     assert man["output"] == str(out)
+
+
+def test_simulate_never_writes_or_compiles_values(model_file, tmp_path,
+                                                  monkeypatch):
+    # the K-point values(U) is written and compiled on its first use, and
+    # prior simulation evaluates no log density: set-up pays for none of it
+    def unexpected(*args):
+        raise AssertionError("values(U) was written")
+
+    compiled = []
+    getattr_ = codegen.Program.__getattr__
+
+    def recorded(self, name):
+        compiled.append(name)
+        return getattr_(self, name)
+
+    monkeypatch.setattr(codegen, "_batched", unexpected)
+    monkeypatch.setattr(codegen.Program, "__getattr__", recorded)
+    assert main(["simulate", model_file, "--draws", "3",
+                 "-o", str(tmp_path / "sim.csv")]) == 0
+    assert "values" not in compiled
 
 
 def test_manifest_times_the_compile_phases(model_file, data_file, tmp_path):
@@ -355,9 +376,9 @@ def test_manifest_records_each_chains_warmup(monkeypatch, model_file,
             calls["gradients"] += 1
             return grad_fn(x)
 
-        def value(x):
-            calls["values"] += 1
-            return value_fn(x)
+        def value(X):                  # the points of a block
+            calls["values"] += len(X)
+            return value_fn(X)
 
         out = start(rng, grad, value, u, v, g)
         counted.append(calls)
@@ -575,6 +596,45 @@ def test_bench_grid(model_file, tmp_path, capsys):
     assert any(int(c[3]) > 2 for c in cells if float(c[1]) > 0)
     modes = {c[2] for c in cells}
     assert modes == {"FUSED", "UNROLLED"}
+
+
+def test_main_builds_its_parser_once_and_keeps_no_parsed_state(
+        model_file, data_file, tmp_path, monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        out = str(tmp_path / "draws.csv")
+        assert main(["sample", model_file, "--data", data_file, "--obs", "y",
+                     "--chains", "1", "--warmup", "20", "--samples", "10",
+                     "-o", out]) == 0
+        # the second call sees neither the first call's --data nor --obs
+        assert main(["sample", model_file]) == 1
+        assert "data" in capsys.readouterr().err
+        assert main(["summary", out]) == 0
+        assert built == [1]
+        assert cli._parser() is cli._parser()
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_help_version_and_usage_errors_are_unchanged(capsys):
+    # as an argparse parser built for the call prints them
+    fresh = cli.build_parser()
+    for argv in (["--help"], ["--version"], ["sample", "--help"],
+                 ["summary"], ["frobnicate"]):
+        outputs = []
+        for parse in (fresh.parse_args, main):
+            with pytest.raises(SystemExit) as e:
+                parse(argv)
+            outputs.append((e.value.code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
 
 
 def test_unknown_command_exits_nonzero():

@@ -299,6 +299,9 @@ def test_generated_programs_agree_across_modes(case):
         for mode in (pl.FUSED, pl.UNROLLED)]
     points = [rng.uniform(-2, 2, fused.latent_dim) for _ in range(3)]
     assert_modes_agree(fused, unrolled, points)
+    for plan in (fused, unrolled):      # values(U): each row as value(u)
+        want = np.array([plan.logdensity(u) for u in points])
+        assert plan.logdensities(points).tobytes() == want.tobytes()
     assert fused.observed_loglik(points[0]) == pytest.approx(
         unrolled.observed_loglik(points[0]), rel=1e-12, abs=1e-9)
     assert_matches_central_differences(fused, points[0])

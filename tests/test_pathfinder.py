@@ -63,7 +63,7 @@ def test_approximation_of_independent_normals_is_exact():
     u = rng.uniform(-2.0, 2.0, 10)
     v, g = plan.logdensity_and_grad(u)
     start, _, _, inv_mass, info = pf.pathfinder(
-        rng, plan.logdensity_and_grad, plan.logdensity, u, v, g)
+        rng, plan.logdensity_and_grad, plan.logdensities, u, v, g)
     assert info["elbo"] == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(inv_mass, 1.0, rtol=0, atol=1e-9)
     assert info["best_iteration"] >= 1
@@ -73,11 +73,11 @@ def test_approximation_of_independent_normals_is_exact():
 
 def test_no_finite_elbo_starts_the_chain_at_its_initialization(monkeypatch):
     plan = std_normal_plan(3)
-    plan.logdensity = lambda u: -math.inf
+    plan.logdensities = lambda U: np.full(len(U), -math.inf)
     rng = np.random.default_rng(5)
     u = rng.uniform(-2.0, 2.0, 3)
     v, g = plan.logdensity_and_grad(u)
-    got = pf.pathfinder(rng, plan.logdensity_and_grad, plan.logdensity,
+    got = pf.pathfinder(rng, plan.logdensity_and_grad, plan.logdensities,
                         u, v, g)
     assert got[0] is u and got[1] == v and got[2] is g
     np.testing.assert_array_equal(got[3], np.ones(3))
@@ -116,7 +116,7 @@ def test_a_start_draw_the_gradient_rejects_falls_back_to_its_iterate():
     u = np.array([-1.5])
     v, g = grad(u)
     start, vs, gs, _, info = pf.pathfinder(np.random.default_rng(0), grad,
-                                           plan.logdensity, u, v, g)
+                                           plan.logdensities, u, v, g)
     assert calls[-1] > 0 and info["best_iteration"] is not None
     assert start[0] in calls[1:-1]
     want_v, want_g = plan.logdensity_and_grad(start)
@@ -275,16 +275,28 @@ def _ref_pathfinder(rng, grad_fn, value_fn, u, v, g):
     return start, float(vs), gs, approx.diagonal, info
 
 
-def quadratic_target(dim=20, seed=17):
-    # log p = -x'Ax / 2 with condition number 1e4
+# A target is (grad_fn, value_fn, values_fn, dim): the gradient call, the
+# one-point value that the reference scores each draw with, and the K-point
+# value that the module scores a stack with
+
+
+def _rows(value_fn):
+    return lambda X: np.array([value_fn(x) for x in X])
+
+
+def quadratic_target(dim=20, seed=17, condition=4):
+    # log p = -x'Ax / 2 with condition number 10**condition
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    A = q @ np.diag(np.logspace(0, -4, dim)) @ q.T
+    A = q @ np.diag(np.logspace(0, -condition, dim)) @ q.T
 
     def grad(x):
         return -0.5 * float(x @ A @ x), -(A @ x)
 
-    return grad, lambda x: grad(x)[0], dim
+    def value(x):
+        return grad(x)[0]
+
+    return grad, value, _rows(value), dim
 
 
 def cut_target(mode):
@@ -302,21 +314,43 @@ def cut_target(mode):
             return -math.inf, np.zeros_like(x)
         return -0.5 * float((x - mu) @ A @ (x - mu)), -(A @ (x - mu))
 
-    return grad, lambda x: grad(x)[0], 5
+    def value(x):
+        return grad(x)[0]
+
+    return grad, value, _rows(value), 5
 
 
 def no_elbo_target():
     plan = std_normal_plan(3)
-    return plan.logdensity_and_grad, lambda u: -math.inf, 3
+    return (plan.logdensity_and_grad, lambda u: -math.inf,
+            lambda U: np.full(len(U), -math.inf), 3)
 
 
 def ar1_missing_target():
     plan = ar1_missing_plan()
-    return plan.logdensity_and_grad, plan.logdensity, plan.latent_dim
+    return (plan.logdensity_and_grad, plan.logdensity, plan.logdensities,
+            plan.latent_dim)
 
 
 def _bytes(a):
     return np.asarray(a, dtype=float).tobytes()
+
+
+def both_paths(target, seed):
+    """The reference's and the module's start, its value, gradient and
+    inverse metric, the path's info and the state of the chain's RNG after
+    it, as bytes."""
+    grad_fn, value_fn, values_fn, dim = target
+    results = []
+    for path, fn in ((_ref_pathfinder, value_fn), (pf.pathfinder, values_fn)):
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-2.0, 2.0, dim)
+        u[0] = -abs(u[0])       # inside the cut target's support
+        v, g = grad_fn(u)
+        start, vs, gs, inv_mass, info = path(rng, grad_fn, fn, u, v, g)
+        results.append((_bytes(start), _bytes([vs]), _bytes(gs),
+                        _bytes(inv_mass), info, rng.random()))
+    return results
 
 
 @pytest.mark.parametrize("target, seed", [
@@ -329,19 +363,90 @@ def _bytes(a):
          "minus_inf_before_the_mode", "no_finite_elbo", "ar1_missing_a",
          "ar1_missing_b"])
 def test_pathfinder_matches_the_reference_bit_for_bit(target, seed):
-    # the start, its value, gradient and inverse metric, the path's info
-    # and the state of the chain's RNG after it
-    grad_fn, value_fn, dim = target()
-    results = []
-    for path in (_ref_pathfinder, pf.pathfinder):
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(-2.0, 2.0, dim)
-        u[0] = -abs(u[0])       # inside the cut target's support
-        v, g = grad_fn(u)
-        start, vs, gs, inv_mass, info = path(rng, grad_fn, value_fn, u, v, g)
-        results.append((_bytes(start), _bytes([vs]), _bytes(gs),
-                        _bytes(inv_mass), info, rng.random()))
-    assert results[1] == results[0]
+    ref, got = both_paths(target(), seed)
+    assert got == ref
+
+
+def record_blocks(monkeypatch):
+    """The iterations of each block that Pathfinder scores, in order."""
+    blocks = []
+    score = pf._score
+
+    def recorded(rng, values_fn, block, best):
+        blocks.append([it.iteration for it in block])
+        return score(rng, values_fn, block, best)
+
+    monkeypatch.setattr(pf, "_score", recorded)
+    return blocks
+
+
+def test_a_path_that_ends_inside_its_first_block_matches_the_reference(
+        monkeypatch):
+    # dim 4 < 2 * HISTORY, so Q and L are 4 x 4 once the history is full;
+    # L-BFGS converges at iteration 32, before 23 + PATIENCE, so the one
+    # block is scored when the path ends
+    blocks = record_blocks(monkeypatch)
+    target = quadratic_target(dim=4)
+    ref, got = both_paths(target, 2)
+    assert got == ref
+    info = got[4]
+    assert target[3] < 2 * pf.HISTORY
+    assert info["iterations"] < info["best_iteration"] + pf.PATIENCE
+    assert blocks == [list(range(1, info["iterations"] + 1))]
+
+
+def test_a_best_iterate_three_blocks_in_matches_the_reference(monkeypatch):
+    # each new best ELBO moves the stop on, and each stop ends a block
+    blocks = record_blocks(monkeypatch)
+    ref, got = both_paths(quadratic_target(dim=60, condition=6), 3)
+    assert got == ref
+    info = got[4]
+    assert sum(blocks, []) == list(range(1, info["iterations"] + 1))
+    assert blocks[0][-1] == pf.PATIENCE
+    assert info["best_iteration"] in blocks[2]
+    assert info["iterations"] == info["best_iteration"] + pf.PATIENCE
+
+
+def test_a_block_split_into_stacks_by_the_float_budget_matches_the_reference(
+        monkeypatch):
+    # at dim 150 a stacked (dim, 2m) array of 6 pairs holds 1800 floats, so
+    # a stack holds two iterates
+    sizes = []
+    stacks = pf._stacks
+
+    def recorded(block):
+        for run in stacks(block):
+            sizes.append(len(run))
+            yield run
+
+    monkeypatch.setattr(pf, "_stacks", recorded)
+    ref, got = both_paths(quadratic_target(dim=150, condition=5), 2)
+    assert got == ref
+    assert max(sizes) == 2 == pf._STACK_FLOATS // (150 * 2 * pf.HISTORY)
+    assert len(sizes) > 2
+
+
+def test_a_cholesky_failure_inside_a_stack_matches_the_reference(monkeypatch):
+    # LAPACK fails a whole stack when one of its matrices is not positive
+    # definite. Failing each matrix whose first entry has a chosen digit
+    # fails some iterates of a stack, the same ones on both paths
+    cholesky = np.linalg.cholesky
+    failed = []
+
+    def flaky(a):
+        a = np.asarray(a)
+        if np.any(np.floor(a[..., 0, 0] * 1e6) % 3 == 0):
+            failed.append(a.shape)
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    ref, got = both_paths(ar1_missing_target(), 8)
+    assert got == ref
+    info = got[4]
+    assert info["best_iteration"] is not None
+    assert info["values"] < pf.ELBO_DRAWS * (info["iterations"] - 1)
+    assert any(len(shape) == 3 and shape[0] > 1 for shape in failed)
 
 
 def test_strongly_correlated_regression_matches_its_exact_posterior():

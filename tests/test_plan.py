@@ -17,7 +17,7 @@ from ldmlang.errors import (
     NonFiniteDensityError, UndefinedReferenceError,
 )
 
-from conftest import model_text
+from conftest import CORPUS, MODELS, model_text
 
 EXAMPLE1 = """ProgramName: E1
 b = 1
@@ -721,6 +721,81 @@ def test_both_wrappers_check_shape_and_nan_without_warnings(mode):
                     fn(np.full(dim, np.nan))
 
 
+def every_model_case(name):
+    """A model of models/ with its indices cut to 12 values, and data: the
+    corpus's generated data, or none (a prior) for the other models."""
+    from test_acceptance import capped_ast, corpus_case
+    if name in CORPUS:
+        ast, tables, obs, inputs = corpus_case(name)
+        return dict(source=ast, tables=tables, obs=obs, inputs=inputs)
+    return dict(source=capped_ast(name)[0])
+
+
+def assert_rows_match(plan, U):
+    """logdensities(U) is logdensity at each row, to the bit."""
+    want = np.array([plan.logdensity(u) for u in U])
+    assert plan.logdensities(U).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS.glob("*.ldm")))
+def test_logdensities_rows_are_logdensity_bit_for_bit(name, mode,
+                                                      monkeypatch):
+    plan = pl.compile_model(**every_model_case(name), mode=mode)
+    rng = np.random.default_rng(11)
+    U = rng.normal(0.0, 1.5, (10, plan.latent_dim))
+    U[3] = 1e200                    # overflows every square: -inf
+    U[7, rng.integers(plan.latent_dim)] = 800.0
+    want = np.array([plan.logdensity(u) for u in U])
+    assert want[3] == -math.inf and math.isfinite(want[0])
+    assert_rows_match(plan, U)
+    # the same rows three at a time
+    monkeypatch.setattr(pl, "_BATCH_FLOATS", 3 * plan._program.width)
+    assert_rows_match(plan, U)
+    assert plan.logdensities(U[:0]).shape == (0,)
+
+
+# scalar latents through every operation whose np.float64 path can round
+# differently from its array path: pow and the special functions, next to
+# a vector of one cell (i 0 0), which takes the array path in both
+SCALAR_PATHS = """ProgramName: ScalarPaths
+Indices: i 0 0
+r ~ N(0, 1)
+s ~ Gamma(2, 2)
+q ~ Beta(2, 3)
+w[i] ~ N(pow(s, 1.7) + logit(q), 1)
+x[i] ~ StudentT(exp(r) + 2, pow(w[i], 2), s)
+y ~ Beta(s + 1, exp(r))
+z ~ Bernoulli(expit(pow(1.3, r)))
+"""
+
+
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+def test_logdensities_take_the_scalar_paths_of_logdensity(mode):
+    table = make_table((), [()], {"y": [0.4], "z": [1.0]})
+    plan = pl.compile_model(SCALAR_PATHS, tables=(table,), obs=("y", "z"),
+                            mode=mode)
+    U = np.random.default_rng(5).normal(0.0, 1.0, (200, plan.latent_dim))
+    assert_rows_match(plan, U)
+
+
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+def test_logdensities_check_shape_and_nan(mode):
+    plan = pl.compile_model(AR1_SMALL, tables=(ar1_table(missing=(5, 9)),),
+                            obs=("y",), mode=mode)
+    dim = plan.latent_dim
+    for shape in ((dim,), (3, dim - 1), (3, dim + 1), (1, 1, dim)):
+        with pytest.raises(ValueError):
+            plan.logdensities(np.zeros(shape))
+    U = np.zeros((4, dim))
+    U[2, -1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteDensityError):
+            plan.logdensities(U)
+        assert np.isfinite(plan.logdensities(U[[0, 1, 3]])).all()
+
+
 # at x = 1e-110 the observed terms are finite, but their gradients in x
 # overflow: z's to +inf, and y's to -inf, so that the two make NaN
 STEEP = {"inf": ("z ~ N(x, 1e-210)\n", {"z": [2e-110]}),
@@ -750,18 +825,18 @@ def test_sampler_calls_the_wrappers_set_on_the_plan(mode, monkeypatch):
     # every gradient call of the chains and every Pathfinder value call
     plan = pl.compile_model(AR1_SMALL, tables=(ar1_table(missing=(5, 9)),),
                             obs=("y",), mode=mode)
-    calls = {"logdensity": 0, "logdensity_and_grad": 0}
+    calls = {"logdensities": 0, "logdensity_and_grad": 0}
     for name in calls:
         def counted(u, inner=getattr(plan, name), name=name):
-            calls[name] += 1
+            calls[name] += len(u) if name == "logdensities" else 1
             return inner(u)
         setattr(plan, name, counted)
     monkeypatch.setattr(smp, "_worker_count", lambda n_chains: 1)
     out = smp.run(plan, n_chains=2, n_warmup=30, n_samples=20, seed=3)
     assert calls["logdensity_and_grad"] == (sum(out.gradients["warmup"])
                                             + sum(out.gradients["sampling"]))
-    assert calls["logdensity"] == sum(w["pathfinder"]["values"]
-                                      for w in out.warmup) > 0
+    assert calls["logdensities"] == sum(w["pathfinder"]["values"]
+                                        for w in out.warmup) > 0
 
 
 @pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
