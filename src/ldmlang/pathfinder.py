@@ -60,12 +60,12 @@ def _two_loop(g, pairs):
     q = g.copy()
     coef = []
     for s, y, sy, _ in reversed(pairs):
-        a = (s @ q) / sy
+        a = s.dot(q) / sy
         q -= a * y
         coef.append(a)
     r = q * (pairs[-1].sy / pairs[-1].yy)
     for (s, y, sy, _), a in zip(pairs, reversed(coef)):
-        r += (a - (y @ r) / sy) * s
+        r += (a - y.dot(r) / sy) * s
     return -r
 
 
@@ -75,7 +75,7 @@ def _line_search(fg, x, f, g, d):
     Overton), in at most 30 evaluations. A point where f is not finite
     counts as too far. Returns (x, f, g) at the step, the last point that
     only decreased f enough when no point met both conditions, or None."""
-    slope = float(g @ d)
+    slope = float(g.dot(d))
     if not slope < 0.0:
         return None
     lo, hi, t = 0.0, math.inf, 1.0
@@ -85,7 +85,7 @@ def _line_search(fg, x, f, g, d):
         ft, gt = fg(xt)
         if not ft <= f + 1e-4 * t * slope:
             hi = t
-        elif gt @ d < 0.9 * slope:
+        elif gt.dot(d) < 0.9 * slope:
             lo, found = t, (xt, ft, gt)
         else:
             return xt, ft, gt
@@ -102,12 +102,12 @@ def lbfgs(fg, x, f, g):
     norm falls to _GRAD_TOL of its first value, when no step along the
     direction decreases f, or after MAX_ITERATIONS steps."""
     pairs = []
-    g_stop = _GRAD_TOL * math.sqrt(g @ g)
+    g_stop = _GRAD_TOL * math.sqrt(g.dot(g))
     for _ in range(MAX_ITERATIONS):
         if pairs:
             d = _two_loop(g, pairs)
         else:                           # first step: length at most 1
-            d = -g / max(1.0, math.sqrt(g @ g))
+            d = -g / max(1.0, math.sqrt(g.dot(g)))
         if not np.isfinite(d).all():
             return
         step = _line_search(fg, x, f, g, d)
@@ -115,14 +115,14 @@ def lbfgs(fg, x, f, g):
             return
         x_new, f_new, g_new = step
         s, y = x_new - x, g_new - g
-        sy = float(s @ y)
-        yy = float(y @ y)
+        sy = float(s.dot(y))
+        yy = float(y.dot(y))
         new_pair = sy > 0.0 and yy <= 1e12 * sy
         if new_pair:
             pairs = (pairs + [Pair(s, y, sy, yy)])[-HISTORY:]
         x, f, g = x_new, f_new, g_new
         yield x, f, g, pairs, new_pair
-        if math.sqrt(g @ g) <= g_stop:
+        if math.sqrt(g.dot(g)) <= g_stop:
             return
 
 
@@ -131,9 +131,9 @@ def _update_diagonal(alpha, pair):
     pair (Gilbert & Lemaréchal's update, Pathfinder's Algorithm 4); the old
     diagonal where the update is not positive and finite."""
     s, y, sy, _ = pair
-    y_a_y = float(y @ (alpha * y))
+    y_a_y = float(y.dot(alpha * y))
     s_a = s / alpha
-    s_a_s = float(s @ s_a)
+    s_a_s = float(s.dot(s_a))
     new = sy / (y_a_y / alpha + y * y - (y_a_y / s_a_s) * s_a ** 2)
     return new if (np.isfinite(new) & (new > 0)).all() else alpha
 
