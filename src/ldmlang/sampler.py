@@ -128,6 +128,10 @@ def _join(left, right):
     rho = rho_l + rho_r
     if w_a.dot(rho) <= 0.0 or w_d.dot(rho) <= 0.0:
         return rho, True
+    if rho_l is p_b and rho_r is p_c and w_a is w_b and w_c is w_d:
+        # two single states (half of all joins): each extended check makes
+        # the sums and dot products of the check above again
+        return rho, False
     rho_ac = rho_l + p_c
     if w_a.dot(rho_ac) <= 0.0 or w_b.dot(rho_ac) <= 0.0:
         return rho, True
