@@ -19,8 +19,8 @@ Each doubling is built iteratively, leaf by leaf, with one checkpoint per
 tree level (the pending left sibling: its end momenta and velocities,
 momentum sum, log weight, proposal and acceptance sum), as in NumPyro's
 iterative NUTS. Merges run in the post-order of recursive doubling, so the
-RNG calls and the floating-point operations, and hence the draws for a
-seed, are those of the recursive formulation.
+RNG calls and the floating-point results, and hence the draws for a seed,
+are those of the recursive formulation.
 
 Chains run in processes forked after the plan is compiled, one per CPU of
 the affinity mask; each chain draws from its own RNG stream, so the output
