@@ -20,15 +20,18 @@ its first use:
                         value(u)'s statements over K points at once, with
                         a scalar as a (K, 1) column, a vector as a (K, n)
                         array, latent reads and gathers on the last axis,
-                        and each term summed over it. Each row has value(u)'s
-                        bits at that row: an operation that value(u) runs on
-                        an np.float64 and that rounds differently over an
-                        array (`**`, the special functions) runs element by
+                        and each term summed over it, written from `Source`'s
+                        record of each of value(u)'s statements. Each row has
+                        value(u)'s bits at that row: an operation that value(u)
+                        runs on an np.float64 and that rounds differently over
+                        an array (`**`, the special functions) runs element by
                         element (see `_batched`).
 
 Sub-expressions that do not depend on the latent vector are folded at
-compile time, by evaluating the same expression text with NumPy, so they
-cost nothing per call and round exactly as at run time. Every value is a
+compile time by `function`, which compiles an expression's format once,
+so they cost nothing per call and round exactly as at run time. Prior
+simulation runs the operators and calls through it too, and the plan its
+transforms and their inverses, which `TRANSFORMS` holds. Every value is a
 scalar or a vector of one statement's domain length; positions, input
 values and observed data are constants in the functions' namespace. Names
 in the source are generated: model identifiers never appear in it, and
@@ -44,6 +47,7 @@ differences and each distribution's value against its NumPy kernel in
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -72,6 +76,14 @@ _NAMESPACE = {
 }
 
 _PLACEHOLDER = re.compile(r"\{(\d+)\}")
+
+
+@functools.cache
+def function(fmt: str, arity: int):
+    """`fmt` over {0}, ..., {arity - 1} as a Python function of as many
+    arguments, compiled once per format."""
+    names = [f"_{i}" for i in range(arity)]
+    return eval(f"lambda {','.join(names)}: {fmt.format(*names)}", _NAMESPACE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,12 +151,16 @@ class Source:
         self.dim = dim
         self.ns = dict(_NAMESPACE)
         self.lines: list[str] = []        # forward statements
+        # the same for values(U): (kind, name, text, vector length or None,
+        # *codes), where an "op"'s text is its fmt over the codes of its
+        # operands, and a "rows" text its K-row form reading the codes
+        self.records: list[tuple] = []
         self.tape: list[tuple] = []       # reverse records, forward order
         # summands of the log density and of the observed loglik, as
-        # (code, kind): kind "const", "scalar", or "vector" (summed)
-        self.parts: list[tuple[str, str]] = []
-        self.obs_parts: list[tuple[str, str]] = []
-        self.width = dim                  # longest vector, for batching
+        # (code, kind, the local it reads or None): kind "const", "scalar",
+        # or "vector" (summed)
+        self.parts: list[tuple] = []
+        self.obs_parts: list[tuple] = []
         self._k = 0
 
     # -- values -------------------------------------------------------------
@@ -161,7 +177,6 @@ class Source:
                 ("inf" if x > 0 else "(-inf)") if math.isinf(x) else \
                 f"({x!r})" if math.copysign(1.0, x) < 0 else repr(x)
             return Val(code, None, False)
-        self.width = max(self.width, len(value))
         return Val(self._array("c", value), len(value), False)
 
     def _array(self, hint: str, value: np.ndarray) -> str:
@@ -181,13 +196,13 @@ class Source:
         codes = [a.code for a in args]
         n = next((a.n for a in args if a.n is not None), None)
         if not any(a.active for a in args):
-            env = {f"_{i}": np.float64(self.value(a)) if a.n is None
-                   else self.value(a) for i, a in enumerate(args)}
+            vals = [np.float64(self.value(a)) if a.n is None
+                    else self.value(a) for a in args]
             with np.errstate(all="ignore"):
-                out = eval(fmt.format(*env), self.ns, env)
-            return self.const(out)
+                return self.const(function(fmt, len(args))(*vals))
         out = Val(self._name(hint), n, True)
         self.lines.append(f"{out.code} = {fmt.format(*codes)}")
+        self.records.append(("op", out.code, fmt, n, *codes))
         if partials is not None:
             y = f"{{{len(args)}}}"
             pairs = [(a, p if p in ("1", "-1") else
@@ -212,8 +227,7 @@ class Source:
         if v.fixed is None:
             return lp
         with np.errstate(all="ignore"):
-            ok = eval(fmt.format("_0"), self.ns, {"_0": v.fixed}) \
-                | np.isnan(v.fixed)
+            ok = function(fmt, 1)(v.fixed) | np.isnan(v.fixed)
         if np.all(ok):
             return lp
         return self.op("np.where({0}, {1}, -inf)", self.const(ok), lp,
@@ -221,27 +235,37 @@ class Source:
 
     # -- model arrays ---------------------------------------------------------
 
-    def _key(self, pos) -> str:
+    def _key(self, pos) -> tuple[str, str | None]:
+        """value(u)'s subscript of positions `pos` (see _subscript) and
+        values(U)'s on the last axis: one position as a slice of one, so a
+        scalar stays a column; None for a position array, read with np.take
+        as fancy indexing would give a Fortran-ordered array."""
         key, posarr = _subscript(pos)
-        return key if key is not None else self._array("p", posarr)
+        if posarr is not None:
+            return self._array("p", posarr), None
+        one = isinstance(pos, (int, np.integer))
+        return key, f"{key}:{int(pos) + 1}" if one else key
 
     def latent(self, offsets, kind: str) -> Val:
         """Constrained values of the latent slots u[offsets] (an int or an
         offsets array) under transform `kind`; their log-Jacobian joins the
         log density."""
-        key = self._key(offsets)
+        key, cols = self._key(offsets)
         n = None if isinstance(offsets, (int, np.integer)) else len(offsets)
         useg = Val(self._name("u"), n, True)
-        self.width = max(self.width, n or 0)
         self.lines.append(f"{useg.code} = u[{key}]")
-        value, jac, _, _ = TRANSFORMS[kind]
+        rows = f"np.take(U, {key}, 1)" if cols is None else f"U[:, {cols}]"
+        self.records.append(("rows", useg.code, f"{useg.code} = {rows}", n))
+        value, _, jac, _, _ = TRANSFORMS[kind]
         x = useg
         if value != "{0}":
             x = Val(self._name("x"), n, True)
             self.lines.append(f"{x.code} = {value.format(useg.code)}")
+            self.records.append(("op", x.code, value, n, useg.code))
         if jac:
             self.parts.append((f"({jac.format(useg.code)})",
-                               "scalar" if n is None else "vector"))
+                               "scalar" if n is None else "vector",
+                               useg.code))
         self.tape.append(("latent", x, useg, key, kind))
         return x
 
@@ -249,15 +273,22 @@ class Source:
         """A model variable's flat array: observed `base` with each latent
         Val of `puts` [(positions, Val)] written at its positions."""
         arr = Val(self._name("a"), len(base), True)
-        self.width = max(self.width, len(base))
         if len(puts) == 1 and np.array_equal(puts[0][0], np.arange(len(base))):
-            self.lines.append(f"{arr.code} = {puts[0][1].code}")
-            self.tape.append(("put", arr, None, puts[0][1]))
+            x = puts[0][1]
+            self.lines.append(f"{arr.code} = {x.code}")
+            self.records.append(("op", arr.code, "{0}", arr.n, x.code))
+            self.tape.append(("put", arr, None, x))
             return arr
-        self.lines.append(f"{arr.code} = {self.const(base).code}.copy()")
+        c = self.const(base).code
+        self.lines.append(f"{arr.code} = {c}.copy()")
+        tile = f"{arr.code} = np.tile({c}, (len(U), 1))"   # C ordered
+        self.records.append(("rows", arr.code, tile, arr.n))
         for pos, x in puts:
-            key = self._key(pos)
+            key, cols = self._key(pos)
             self.lines.append(f"{arr.code}[{key}] = {x.code}")
+            put = f"{arr.code}[:, {cols or key}] = {x.code}"
+            self.records.append(("rows", arr.code, put, arr.n, arr.code,
+                                 x.code))
             self.tape.append(("put", arr, key, x))
         return arr
 
@@ -277,17 +308,19 @@ class Source:
     def index(self, arr: Val, pos, fixed=None) -> Val:
         """arr[pos] for an int or an array of compile-time positions;
         `fixed` as for Val."""
-        key, posarr = _subscript(pos)
+        key, cols = self._key(pos)
         counts = None
-        if key is None:
-            key = self._array("p", posarr)
-            counts = np.bincount(posarr, minlength=arr.n).astype(float)
+        if cols is None:
+            counts = np.bincount(self.ns[key], minlength=arr.n).astype(float)
             if counts.max() < 2:
                 counts = None
         n = None if isinstance(pos, (int, np.integer)) else len(pos)
-        self.width = max(self.width, n or 0)
         out = Val(self._name("g"), n, True, fixed)
         self.lines.append(f"{out.code} = {arr.code}[{key}]")
+        rows = f"np.take({arr.code}, {key}, 1)" if cols is None \
+            else f"{arr.code}[:, {cols}]"
+        self.records.append(("rows", out.code, f"{out.code} = {rows}", n,
+                             arr.code))
         self.tape.append(("index", out, arr, key, counts))
         return out
 
@@ -301,18 +334,20 @@ class Source:
         if not lp.active:
             with np.errstate(all="ignore"):
                 total = self.value(lp)
-                self.parts.append((self.const(np.sum(total)).code, "const"))
+                self.parts.append((self.const(np.sum(total)).code, "const",
+                                   None))
                 if observed is not False:
                     sel = total if observed is True else total[observed]
                     self.obs_parts.append((self.const(np.sum(sel)).code,
-                                           "const"))
+                                           "const", None))
             return
-        self.parts.append((lp.code, "scalar" if lp.n is None else "vector"))
+        self.parts.append((lp.code, "scalar" if lp.n is None else "vector",
+                           lp.code))
         if observed is True:
             self.obs_parts.append(self.parts[-1])
         elif observed is not False:
-            self.obs_parts.append(
-                (f"{lp.code}[{self._array('p', observed)}]", "vector"))
+            p = self._array("p", observed)
+            self.obs_parts.append((f"{lp.code}[{p}]", "vector", lp.code))
         self.tape.append(("term", lp, [(a, p) for a, p in pairs if a.active]))
 
     # -- reverse sweep -------------------------------------------------------
@@ -368,7 +403,7 @@ class Source:
                 continue
             if kind == "latent":
                 _, x, useg, key, tkind = rec
-                _, _, dvalue, djac = TRANSFORMS[tkind]
+                _, _, _, dvalue, djac = TRANSFORMS[tkind]
                 terms = []
                 if x.code in adj:
                     terms.append(_times(adj[x.code][0],
@@ -409,20 +444,21 @@ class Source:
         rev = self._backward()
         fwd = "".join(f"    {line}\n" for line in self.lines)
         total = _sum(self.parts)
-        observed = _sum(self.obs_parts)
         back = "".join(f"    {line}\n" for line in rev)
         zeros = f"np.zeros({self.dim})"
-        text = (
-            f"def value(u):\n{fwd}{total}"
-            "    return float(lp) if lp == lp else -inf\n\n"
-            f"def value_and_grad(u):\n{fwd}{total}"
-            "    if not -inf < lp < inf:\n"
-            f"        return (float(lp) if lp == lp else -inf), {zeros}\n"
-            f"    g = {zeros}\n{back}"
-            "    return float(lp), g\n\n"
-            f"def observed(u):\n{fwd}{observed}"
-            "    return float(lp) if lp == lp else -inf\n")
-        return Program(text, self.ns, self.parts, self.width)
+        ret = "    return float(lp) if lp == lp else -inf\n"
+        # each function's text in pieces, which share one forward text
+        functions = {
+            "value": ("def value(u):\n", fwd, total, ret),
+            "value_and_grad": (
+                "def value_and_grad(u):\n", fwd, total,
+                "    if not -inf < lp < inf:\n"
+                f"        return (float(lp) if lp == lp else -inf), {zeros}\n"
+                f"    g = {zeros}\n", back, "    return float(lp), g\n"),
+            "observed": ("def observed(u):\n", fwd, _sum(self.obs_parts), ret),
+        }
+        width = max([self.dim] + [rec[3] for rec in self.records if rec[3]])
+        return Program(functions, self.ns, self.records, self.parts, width)
 
 
 _SUM_LINE = 64
@@ -436,7 +472,7 @@ def _sum(parts, rows=False) -> str:
     way, so the split rounds exactly as one line does. With `rows`, each
     part is one value per row of a (K, n) batch."""
     codes = []
-    for code, kind in parts:
+    for code, kind, _ in parts:
         if kind == "vector":
             code = f"np.add.reduce({code}, 1)" if rows \
                 else f"np.add.reduce({code})"
@@ -449,102 +485,70 @@ def _sum(parts, rows=False) -> str:
     return "".join(lines)
 
 
-# the forward statements of value(u), as written by Source: NAME = RHS, or
-# NAME[KEY] = RHS for a latent piece put into an assembled array
-_STATEMENT = re.compile(r"    (\w+)(?:\[(.+)\])? = (.+)")
-_READ = re.compile(r"(u|a_\d+)\[(.+)\]")       # a latent read or a gather
-_GENERATED = re.compile(r"\b[a-z]+_\d+\b")       # names made by Source._name
+# a call of a special function of `distributions`, in a rule's fmt
 _SCALAR_CALL = re.compile(r"\b(expit|logit|gammaln|digamma)\(")
-_POWER = re.compile(r"(\S+) \*\* (\S+)")
 
 
-def _scalar_paths(rhs: str, vector) -> str:
-    """rhs with each operation that value(u) evaluates on np.float64
+def _scalar_paths(fmt: str, codes, scalar) -> str:
+    """fmt over codes, with each operation that value(u) runs on np.float64
     operands and that rounds differently over an array written as an
-    `each` call: the special functions of `distributions`, which take a
-    `math` path for a float, and `**`. vector(names) says whether any of
-    the names is a vector."""
-    power = _POWER.fullmatch(rhs)
-    if power:
-        return rhs if vector(_GENERATED.findall(rhs)) \
-            else f"each(pow, {power[1]}, {power[2]})"
+    `each` call where scalar(the codes of its operands): the special
+    functions, which take a `math` path for a float, and `**`."""
+    if fmt == CALLS["pow"][0] and scalar(codes):
+        return "each(pow, {0}, {1})".format(*codes)
     out, done = [], 0
-    for m in _SCALAR_CALL.finditer(rhs):
+    for m in _SCALAR_CALL.finditer(fmt):
         depth, end = 1, m.end()
         while depth:
-            depth += {"(": 1, ")": -1}.get(rhs[end], 0)
+            depth += {"(": 1, ")": -1}.get(fmt[end], 0)
             end += 1
-        names = _GENERATED.findall(rhs, m.end(), end)
-        if names and not vector(names):
-            out.append(f"{rhs[done:m.start()]}each({m[1]}, ")
+        if scalar([codes[int(i)]
+                   for i in _PLACEHOLDER.findall(fmt, m.end(), end)]):
+            out.append(f"{fmt[done:m.start()]}each({m[1]}, ")
             done = m.end()
-    return "".join(out) + rhs[done:]
+    return ("".join(out) + fmt[done:]).format(*codes)
 
 
-def _batched(value_source: str, parts) -> str:
-    """values(U): value(u)'s statements over the K rows of U at once.
+def _batched(records, parts, ns) -> str:
+    """values(U): value(u)'s statements, from the `Source` records, over
+    the K rows of U at once.
 
     A scalar becomes a (K, 1) column and a vector of n a (K, n) array, C
     ordered so that each row sums as the vector does: latent reads and
-    gathers index the last axis (np.take for a position array, whose
-    fancy-index form would be Fortran ordered), and assembled arrays are
-    K copies of their observed base. Each term sums over the last axis.
-    Every row rounds as value(u) at that row does."""
-    vectors, local = set(), set()
+    gathers index the last axis, and assembled arrays are K copies of their
+    observed base. Each term sums over the last axis. Every row rounds as
+    value(u) at that row does: an operation of `_scalar_paths` runs element
+    by element where its operands include a local and no vector."""
+    vectors = {k for k, v in ns.items() if isinstance(v, np.ndarray)}
+    local, body = set(), []
 
-    def vector(names):
-        return any(n in vectors or n.startswith("c_") for n in names)
+    def scalar(codes):
+        return not local.isdisjoint(codes) and vectors.isdisjoint(codes)
 
-    body = []
-    for line in value_source.split("\n")[1:]:
-        if line.startswith("    lp = "):
-            break
-        name, key, rhs = _STATEMENT.fullmatch(line).groups()
+    for kind, name, text, n, *codes in records:
+        if kind == "op":
+            text = f"{name} = {_scalar_paths(text, codes, scalar)}"
+        body.append((text, {name, *(c for c in codes if c in local)}))
         local.add(name)
-        read = _READ.fullmatch(rhs)
-        if key is not None:
-            body.append(f"    {name}[:, {_columns(key)}] = {rhs}")
-            continue
-        if read:
-            src, key = read.groups()
-            src = "U" if src == "u" else src
-            rhs = f"np.take({src}, {key}, 1)" if key.startswith("p_") \
-                else f"{src}[:, {_columns(key)}]"
-            if not key.isdigit():
-                vectors.add(name)
-        elif rhs.endswith(".copy()"):
-            rhs = f"np.tile({rhs[:-len('.copy()')]}, (len(U), 1))"
+        if n is not None:
             vectors.add(name)
-        else:
-            if vector(_GENERATED.findall(rhs)):
-                vectors.add(name)
-            rhs = _scalar_paths(rhs, vector)
-        body.append(f"    {name} = {rhs}")
-    total = _sum(parts, rows=True)
     # each local is deleted after its last use: a (K, n) temporary is K
     # times the size of value(u)'s, and a function holds its locals until
     # it returns
-    live = set(_GENERATED.findall(total))
-    out = [total]
-    for line in reversed(body):
-        names = set(_GENERATED.findall(line))
-        dead = sorted((names - live) & local)
+    live = {name for _, _, name in parts}
+    out = [_sum(parts, rows=True)]
+    for line, names in reversed(body):
+        dead = sorted(names - live)
         if dead:
             out.append(f"    del {', '.join(dead)}\n")
-        out.append(line + "\n")
+        out.append(f"    {line}\n")
         live |= names
     out.append("def values(U):\n")
     out.reverse()
-    if all(kind == "const" for _, kind in parts):
+    if all(kind == "const" for _, kind, _ in parts):
         out.append("    lp = np.full(len(U), lp)\n")
     out.append("    return np.where(lp == lp, lp, -inf)\n")
     return "".join(out)
-
-
-def _columns(key: str) -> str:
-    """A subscript of value(u) as a subscript of the last axis; one
-    position as a slice of one, so that a scalar stays a column."""
-    return f"{key}:{int(key) + 1}" if key.isdigit() else key
 
 
 class Program:
@@ -553,27 +557,30 @@ class Program:
     (K, dim) array U. Each function is compiled on its first use, so a plan
     that only simulates never pays for them, and compiling the long source
     of a per-cell plan holds the syntax tree of one function at a time;
-    `values` is also written then, from value(u)'s source. `width` is the
-    longest vector in a call, dim included."""
+    `values` is also written then, from the `Source` records, which it
+    then lets go. `width` is the longest vector in a call, dim included."""
 
     _FUNCTIONS = ("value", "value_and_grad", "observed")
 
-    def __init__(self, source: str, namespace: dict, parts, width: int):
-        self.source = source
+    def __init__(self, functions: dict, namespace: dict, records, parts,
+                 width: int):
+        self._functions = functions
         self._ns = namespace
+        self._records = records
         self._parts = parts
         self.width = width
 
-    def _text(self, name: str) -> str:
-        start = self.source.index(f"def {name}(u):")
-        end = self.source.find("\n\ndef ", start)
-        return self.source[start:] if end < 0 else self.source[start:end]
+    @property
+    def source(self) -> str:
+        """The text of value, value_and_grad and observed."""
+        return "\n".join("".join(text) for text in self._functions.values())
 
     def __getattr__(self, name):
         if name == "values":
-            text = _batched(self._text("value"), self._parts)
+            text = _batched(self._records, self._parts, self._ns)
+            del self._records, self._parts
         elif name in self._FUNCTIONS:
-            text = self._text(name)
+            text = "".join(self._functions[name])
         else:
             raise AttributeError(name)
         exec(compile(text, "<ldmlang plan>", "exec"), self._ns)
@@ -601,12 +608,14 @@ BINOPS = {
     "/": ("{0} / {1}", "1.0 / {1}", "-{y} / {1}"),
 }
 
-# transform name -> (constrain, log-Jacobian, d constrain / du, d log-Jacobian
-# / du), over u as {0} and the constrained value as {y}
+# transform name -> (constrain, its inverse, log-Jacobian, d constrain / du,
+# d log-Jacobian / du), over u (the inverse: the constrained value) as {0}
+# and the constrained value as {y}. The logistic inverse clips to the open
+# unit interval, so that 0 and 1 map to finite points.
 TRANSFORMS = {
-    "identity": ("{0}", None, "1", None),
-    "exp": ("np.exp({0})", "{0}", "{y}", "1.0"),
-    "logistic": ("expit({0})",
+    "identity": ("{0}", "{0}", None, "1", None),
+    "exp": ("np.exp({0})", "np.log({0})", "{0}", "{y}", "1.0"),
+    "logistic": ("expit({0})", "logit(np.clip({0}, 1e-12, 1.0 - 1e-12))",
                  "-np.logaddexp(0.0, {0}) - np.logaddexp(0.0, -{0})",
                  "({y} * (1.0 - {y}))", "(1.0 - 2.0 * {y})"),
 }

@@ -1,4 +1,4 @@
-"""The closed distribution table: log densities, samplers, and transforms.
+"""The closed distribution table: log densities and samplers.
 
 Conventions that differ between common libraries and matter here:
   * N(mu, s): the second parameter is the STANDARD DEVIATION.
@@ -482,46 +482,13 @@ def draw(rng: np.random.Generator, name: str, params, size=None):
 
 # --- transforms to unconstrained space -------------------------------------------
 
-class IdentityTransform:
-    name = "identity"
-
-    def constrain(self, u):
-        return u
-
-    def unconstrain(self, v):
-        return v
+_TRANSFORMS = {REAL: "identity", POSITIVE: "exp", UNIT_INTERVAL: "logistic"}
 
 
-class ExpTransform:
-    name = "exp"
-
-    def constrain(self, u):
-        return np.exp(u)
-
-    def unconstrain(self, v):
-        return np.log(v)
-
-
-class LogisticTransform:
-    name = "logistic"
-
-    def constrain(self, u):
-        return expit(u)
-
-    def unconstrain(self, v):
-        return logit(np.clip(v, 1e-12, 1.0 - 1e-12))
-
-
-_TRANSFORMS = {
-    REAL: IdentityTransform(),
-    POSITIVE: ExpTransform(),
-    UNIT_INTERVAL: LogisticTransform(),
-}
-
-
-def transform_for(support: str):
-    """Bijection mapping the real line onto `support`; its log |Jacobian|
-    is in `codegen.TRANSFORMS`."""
+def transform_for(support: str) -> str:
+    """Name of the bijection mapping the real line onto `support`: a key of
+    `codegen.TRANSFORMS`, which holds it, its inverse and its log
+    |Jacobian|."""
     t = _TRANSFORMS.get(support)
     if t is None:
         raise NoTransformError(

@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import gc
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -341,7 +340,7 @@ class SlotRun:
     pos: np.ndarray
     offset: int
     kind: str                    # LATENT_PARAM | MISSING_IMPUTED
-    transform: object
+    transform: str               # a name of codegen.TRANSFORMS
     dist: str
 
     @property
@@ -414,14 +413,6 @@ class _UnresolvedInput(UndefinedReferenceError):
         super().__init__(f"input {name!r} has no value; supply a data table "
                          "containing it or pass inputs={...}")
         self.name = name
-
-
-_BINOPS = {"+": operator.add, "-": operator.sub,
-           "*": operator.mul, "/": operator.truediv}
-
-_CALLS = {"exp": np.exp, "log": np.log,
-          "expit": dist.expit, "logit": dist.logit,
-          "sqrt": np.sqrt, "abs": np.abs, "pow": operator.pow}
 
 
 def _term_value(bound: BoundModel, term, km):
@@ -541,7 +532,7 @@ class _Lowering:
             for run in runs:
                 for i, key in enumerate(_run_keys(bound, run)):
                     self.cells[(run.variable, key)] = self.src.latent(
-                        run.offset + i, run.transform.name)
+                        run.offset + i, run.transform)
             return
         graph = bound.graph
         deterministic = {n.variable for n in graph.nodes
@@ -569,13 +560,13 @@ class _Lowering:
                     self.values[var] = self.src.const(bound.observed[var][0])
                 else:
                     self.values[var] = self.src.latent(
-                        mine[0].offset, mine[0].transform.name)
+                        mine[0].offset, mine[0].transform)
                 continue
             base = np.where(observed, bound.observed[var], 0.0)
             # the variable's slots grouped by transform, in offset order
             groups: dict[str, list] = {}
             for run in mine:
-                groups.setdefault(run.transform.name, []).append(run)
+                groups.setdefault(run.transform, []).append(run)
             latent = np.zeros(len(base), dtype=bool)
             puts = []
             for kind, group in groups.items():
@@ -774,11 +765,13 @@ class ExecutablePlan:
         self.simulate_only = simulate_only
         self._program = program         # codegen.Program
         self._unresolved = unresolved   # an input with no value, or None
-        by_transform: dict[object, list] = {}
+        by_transform: dict[str, list] = {}
         for run in runs:
             by_transform.setdefault(run.transform, []).append(run.offsets)
-        self._transforms = [(tr, np.concatenate(offs))
-                            for tr, offs in by_transform.items()]
+        # (constrain, unconstrain, offsets) per transform
+        self._transforms = [
+            (*(codegen.function(f, 1) for f in codegen.TRANSFORMS[name][:2]),
+             np.concatenate(offs)) for name, offs in by_transform.items()]
 
     # -- layout ----------------------------------------------------------
 
@@ -808,15 +801,15 @@ class ExecutablePlan:
     def constrain(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         out = np.empty_like(u)
-        for tr, offs in self._transforms:
-            out[offs] = tr.constrain(u[offs])
+        for constrain, _, offs in self._transforms:
+            out[offs] = constrain(u[offs])
         return out
 
     def unconstrain(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         out = np.empty_like(values)
-        for tr, offs in self._transforms:
-            out[offs] = tr.unconstrain(values[offs])
+        for _, unconstrain, offs in self._transforms:
+            out[offs] = unconstrain(values[offs])
         return out
 
     # -- evaluation --------------------------------------------------------
@@ -850,11 +843,7 @@ class ExecutablePlan:
         """Log density at u, -inf off the support. NaN anywhere in u raises
         NonFiniteDensityError and a u of the wrong shape ValueError."""
         u = self._latent(u)
-        value = float(_quietly(self.eval_logdensity, u))
-        # a NaN slot makes its own prior term, and so the value, non-finite
-        if not -math.inf < value < math.inf and np.isnan(u).any():
-            raise NonFiniteDensityError("latent vector contains NaN")
-        return value
+        return _nan_checked(float(_quietly(self.eval_logdensity, u)), u)
 
     def logdensities(self, U) -> np.ndarray:
         """Log densities at the rows of U, of shape (K, latent_dim): entry i
@@ -873,11 +862,13 @@ class ExecutablePlan:
         return values
 
     def compile_gradient(self) -> None:
-        """Compile the generated value-and-gradient function now rather
-        than on its first call, so that processes forked afterwards share
-        it; raises what logdensity_and_grad would for an un-evaluable plan."""
+        """Compile the generated value-and-gradient function, and the
+        K-point values(U) that Pathfinder calls, now rather than on their
+        first calls, so that processes forked afterwards share them; raises
+        what logdensity_and_grad would for an un-evaluable plan."""
         self._check_evaluable()
         self._program.value_and_grad    # codegen.Program compiles on access
+        self._program.values
 
     def logdensity_and_grad(self, u):
         """Value and gradient at u. NaN anywhere in u raises
@@ -889,18 +880,16 @@ class ExecutablePlan:
         self._check_evaluable()
         value, grad, bad_grad = _quietly(_value_and_grad, self._program, u,
                                          self._latent_zeros)
-        if not -math.inf < value < math.inf and np.isnan(u).any():
-            raise NonFiniteDensityError("latent vector contains NaN")
+        _nan_checked(value, u)
         if bad_grad:
             return -math.inf, np.zeros_like(u)
         return value, grad
 
     def observed_loglik(self, u) -> float:
-        """Sum of log densities of OBSERVED sites at the given latent vector."""
+        """Sum of OBSERVED sites' log densities at u; u as for logdensity."""
+        u = self._latent(u)
         self._check_evaluable()
-        u = np.asarray(u, dtype=float)
-        with np.errstate(all="ignore"):
-            return self._program.observed(u)
+        return _nan_checked(_quietly(self._program.observed, u), u)
 
 
 # rows of U per generated values(U) call, times the program's width: a
@@ -913,6 +902,14 @@ def _quietly(f, *args):
     """f(*args) with NumPy's floating-point warnings off; as a decorator,
     errstate costs half of what a with-block does per call."""
     return f(*args)
+
+
+def _nan_checked(value, u):
+    """value; NonFiniteDensityError if it is not finite and u holds NaN, as
+    a NaN slot makes its own prior term, and so the value, non-finite."""
+    if not -math.inf < value < math.inf and np.isnan(u).any():
+        raise NonFiniteDensityError("latent vector contains NaN")
+    return value
 
 
 def _value_and_grad(program, u, zeros):
@@ -1105,10 +1102,11 @@ class _Simulation:
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, BinOp):
-            return _BINOPS[expr.op](self.expr(expr.left, km),
-                                   self.expr(expr.right, km))
+            return codegen.function(codegen.BINOPS[expr.op][0], 2)(
+                self.expr(expr.left, km), self.expr(expr.right, km))
         if isinstance(expr, Call):
-            return _CALLS[expr.fn](*(self.expr(a, km) for a in expr.args))
+            return codegen.function(codegen.CALLS[expr.fn][0], len(expr.args))(
+                *(self.expr(a, km) for a in expr.args))
         if isinstance(expr, Ref):
             return self.ref(expr.ref, km)
         raise TypeError(expr)

@@ -112,9 +112,10 @@ def test_rule_value_matches_numpy_kernel(name):
     values = []      # per argument, its value in the term and in the kernel
 
     def latent(support):
-        t = dist.transform_for(support)
+        name = dist.transform_for(support)
+        constrain = codegen.function(codegen.TRANSFORMS[name][0], 1)
         offs = np.arange(4) + 4 * len(values)
-        values.append((src.latent(offs, t.name), t.constrain(u[offs])))
+        values.append((src.latent(offs, name), constrain(u[offs])))
 
     for _, kind in spec.params:
         if kind == dist.P_COUNT:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from ldmlang import codegen
 from ldmlang import plan as pl
 from ldmlang import sampler as smp
 from ldmlang.datatable import make_table
@@ -328,6 +329,35 @@ def test_constrain_round_trip():
     v = plan.constrain(u)
     assert v[2] == pytest.approx(math.exp(0.7))  # sigma is positive
     np.testing.assert_allclose(plan.unconstrain(v), u, atol=1e-12)
+
+
+def test_unconstrain_maps_the_ends_of_the_unit_interval_to_finite_points():
+    # the logistic inverse clips to [1e-12, 1 - 1e-12]
+    plan = pl.compile_model("ProgramName: M\np ~ Beta(2, 2)\n")
+    lo, hi = (plan.unconstrain(np.array([v]))[0] for v in (0.0, 1.0))
+    assert lo == pytest.approx(math.log(1e-12), rel=1e-9)
+    assert hi == pytest.approx(-math.log(1e-12), rel=1e-4)
+    assert plan.constrain(np.array([lo]))[0] == pytest.approx(1e-12)
+
+
+@pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
+def test_observed_loglik_checks_shape_and_nan(mode):
+    # as logdensity: a u of another length is a ValueError, not a value or
+    # a broadcast error, and a NaN in any slot is NonFiniteDensityError
+    plan = pl.compile_model(AR1_SMALL, tables=(ar1_table(missing=(5, 9)),),
+                            obs=("y",), mode=mode)
+    dim = plan.latent_dim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((dim + 5,), (dim - 1,), (dim, 1)):
+            with pytest.raises(ValueError, match="latent vector must have"):
+                plan.observed_loglik(np.zeros(shape))
+        for k in range(dim):
+            u = np.zeros(dim)
+            u[k] = np.nan
+            with pytest.raises(NonFiniteDensityError):
+                plan.observed_loglik(u)
+        assert math.isfinite(plan.observed_loglik(np.zeros(dim)))
 
 
 def test_observed_loglik_excludes_priors():
@@ -721,10 +751,23 @@ def test_both_wrappers_check_shape_and_nan_without_warnings(mode):
                     fn(np.full(dim, np.nan))
 
 
+# latent slots that are no run of offsets: t[0]'s slot sits between s[0]'s
+# and those of s[1..15], so that s's log-Jacobian reads a position array
+SPLIT_SLOTS = """ProgramName: M
+Indices: i 0 15
+s[0] ~ HalfNormal(1)
+t[0] ~ N(0, 1)
+s[i] ~ HalfNormal(exp(t[0]))
+"""
+
+
 def every_model_case(name):
     """A model of models/ with its indices cut to 12 values, and data: the
-    corpus's generated data, or none (a prior) for the other models."""
+    corpus's generated data, or none (a prior) for the other models; or
+    SPLIT_SLOTS, a prior."""
     from test_acceptance import capped_ast, corpus_case
+    if name == "split_slots":
+        return dict(source=SPLIT_SLOTS)
     if name in CORPUS:
         ast, tables, obs, inputs = corpus_case(name)
         return dict(source=ast, tables=tables, obs=obs, inputs=inputs)
@@ -738,7 +781,8 @@ def assert_rows_match(plan, U):
 
 
 @pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
-@pytest.mark.parametrize("name", sorted(p.name for p in MODELS.glob("*.ldm")))
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS.glob("*.ldm"))
+                         + ["split_slots"])
 def test_logdensities_rows_are_logdensity_bit_for_bit(name, mode,
                                                       monkeypatch):
     plan = pl.compile_model(**every_model_case(name), mode=mode)
@@ -837,6 +881,26 @@ def test_sampler_calls_the_wrappers_set_on_the_plan(mode, monkeypatch):
                                             + sum(out.gradients["sampling"]))
     assert calls["logdensities"] == sum(w["pathfinder"]["values"]
                                         for w in out.warmup) > 0
+
+
+def test_compile_gradient_writes_values_once_for_every_chain(monkeypatch):
+    # compile_gradient writes and compiles values(U) too, so that chains
+    # forked afterwards share it rather than each writing it again
+    written = []
+    batched = codegen._batched
+
+    def counted(*args):
+        written.append(args)
+        return batched(*args)
+
+    monkeypatch.setattr(codegen, "_batched", counted)
+    monkeypatch.setattr(smp, "_worker_count", lambda n_chains: 1)
+    plan = pl.compile_model(AR1_SMALL, tables=(ar1_table(missing=(5, 9)),),
+                            obs=("y",))
+    plan.compile_gradient()
+    assert len(written) == 1
+    smp.run(plan, n_chains=2, n_warmup=30, n_samples=20, seed=3)
+    assert len(written) == 1
 
 
 @pytest.mark.parametrize("mode", [pl.FUSED, pl.UNROLLED])
