@@ -444,6 +444,14 @@ def lookup(name: str) -> DistSpec | None:
     return TABLE.get(ALIASES.get(name, name))
 
 
+# constraint kind -> (test of the values inside it, what it asks)
+_CONSTRAINTS = {
+    P_POSITIVE: (lambda v: v > 0.0, "must be > 0"),
+    P_UNIT: (lambda v: (v >= 0.0) & (v <= 1.0), "must lie in [0, 1]"),
+    P_COUNT: (lambda v: (v >= 0) & _is_integral(v), "must be a count"),
+}
+
+
 def validate_params(spec: DistSpec, params) -> None:
     """Strict constraint check for the public API; raises InvalidParameterError."""
     if len(params) != spec.arity:
@@ -453,12 +461,27 @@ def validate_params(spec: DistSpec, params) -> None:
         v = np.asarray(value, dtype=float)
         if np.isnan(v).any():
             raise InvalidParameterError(f"{spec.name} parameter {pname!r} is NaN")
-        if kind == P_POSITIVE and not np.all(v > 0.0):
-            raise InvalidParameterError(f"{spec.name} parameter {pname!r} must be > 0")
-        if kind == P_UNIT and not np.all((v >= 0.0) & (v <= 1.0)):
-            raise InvalidParameterError(f"{spec.name} parameter {pname!r} must lie in [0, 1]")
-        if kind == P_COUNT and not (np.all(v >= 0) and np.all(_is_integral(v))):
-            raise InvalidParameterError(f"{spec.name} parameter {pname!r} must be a count")
+        if kind in _CONSTRAINTS:
+            inside, asks = _CONSTRAINTS[kind]
+            if not np.all(inside(v)):
+                raise InvalidParameterError(
+                    f"{spec.name} parameter {pname!r} {asks}")
+
+
+def invalid_draws(spec: DistSpec, params, shape) -> tuple | None:
+    """The first parameter with a value outside its constraint, NaN
+    included, for draws of `shape` (cells, draws): (its name, what the
+    constraint asks, how many draws hold such a value in some cell), or
+    None."""
+    for (pname, kind), value in zip(spec.params, params):
+        if kind in _CONSTRAINTS:
+            inside, asks = _CONSTRAINTS[kind]
+            with np.errstate(invalid="ignore"):
+                outside = ~inside(np.asarray(value, dtype=float))
+            k = int(np.broadcast_to(outside, shape).any(axis=0).sum())
+            if k:
+                return pname, asks, k
+    return None
 
 
 def log_prob(name: str, params, value):

@@ -53,15 +53,17 @@ import numpy as np
 from . import autodiff as ad
 from . import codegen
 from . import distributions as dist
-from .datatable import DataTable, make_table
+from .datatable import DataTable
 from .errors import (
     BindError, GraphError, IndexStructureMismatchError,
-    MissingDiscreteUnsupportedError, NonFiniteDensityError,
-    UndefinedReferenceError,
+    InvalidParameterError, MissingDiscreteUnsupportedError,
+    NonFiniteDensityError, UndefinedReferenceError,
 )
 from .frontend.nodes import (
     ArrayLookup, BinOp, Call, Const, IndexVar, IntLiteral, Lag, Ref, VarRef,
+    walk_exprs,
 )
+from .frontend.render import render_stmt
 from .frontend.parser import parse_program
 from .frontend.validate import validate
 from .graph import (
@@ -498,6 +500,48 @@ def _binding_for(node: GraphNode, key):
             if kind == "sym"}
 
 
+def _statement_refs(node: GraphNode):
+    """The references of `node`'s statement, in evaluation order."""
+    exprs = ((node.stmt.rhs,) if node.kind == "deterministic"
+             else node.stmt.dist.params)
+    return [sub.ref for expr in exprs for sub in walk_exprs(expr)
+            if isinstance(sub, Ref)]
+
+
+def _references(bound: BoundModel) -> dict:
+    """node.order -> the references of the node's statement in evaluation
+    order, each resolved over the node's whole domain as (name, index
+    terms, value): the flat positions of a variable's cells, an input's
+    values (an array over the domain, or the scalar of an unindexed input),
+    or None for an input with no value (`name`), which ends the list. A
+    reference outside its declared range raises here, so compile_model
+    fails where lowering would."""
+    out = {}
+    for node in topo_order(bound.graph):
+        n = len(node.domain)
+        if not n:
+            continue
+        km = _binding_for(node, list(np.ascontiguousarray(node.domain.T)))
+        refs = out[node.order] = []
+        try:
+            for ref in _statement_refs(node):
+                name = ref.name
+                inp = bound.inputs.get(name)
+                if inp is not None and not inp.resolved:
+                    raise _UnresolvedInput(name)
+                if inp is not None and not ref.indices:
+                    refs.append((name, (), inp.scalar))
+                    continue
+                idx_values = [_term_value(bound, t, km) for t in ref.indices]
+                value = (inp.array[_input_positions(inp, idx_values)]
+                         if inp is not None else
+                         _flat_positions(bound.layouts[name], idx_values))
+                refs.append((name, ref.indices, np.broadcast_to(value, n)))
+        except _UnresolvedInput as e:
+            refs.append((e.name, (), None))
+    return out
+
+
 # --- lowering ---------------------------------------------------------------------------
 
 
@@ -755,21 +799,52 @@ class ExecutablePlan:
     """Compiled log-density program over an unconstrained latent vector."""
 
     def __init__(self, bound: BoundModel, runs, simulate_only, mode,
-                 blocks, program, unresolved):
+                 references):
         self.bound = bound
         self.graph = bound.graph
         self.ranges = bound.ranges
         self.runs = runs                # the latent layout (see SlotRun)
         self.mode = mode
-        self.blocks = blocks            # FUSED: one-site statements
         self.simulate_only = simulate_only
-        self._program = program         # codegen.Program
-        self._unresolved = unresolved   # an input with no value, or None
+        self.references = references    # see _references
+
+    @functools.cached_property
+    def _lowered(self) -> tuple:
+        """The log density, lowered on first use (see _lower): prior
+        simulation never evaluates it."""
+        # lowering allocates hundreds of thousands of small objects that
+        # live until it ends; cyclic collections would walk them over and
+        # over
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return _lower(self.bound, self.runs, self.mode)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    # cached, so that the density calls read plain attributes
+    @functools.cached_property
+    def blocks(self) -> list:
+        """FUSED: the one-site statements."""
+        return self._lowered[0]
+
+    @functools.cached_property
+    def _program(self) -> codegen.Program:
+        return self._lowered[1]
+
+    @functools.cached_property
+    def _unresolved(self) -> str | None:
+        """An input with no value, or None."""
+        return self._lowered[2]
+
+    @functools.cached_property
+    def _transforms(self) -> list:
+        """(constrain, unconstrain, offsets) per transform."""
         by_transform: dict[str, list] = {}
-        for run in runs:
+        for run in self.runs:
             by_transform.setdefault(run.transform, []).append(run.offsets)
-        # (constrain, unconstrain, offsets) per transform
-        self._transforms = [
+        return [
             (*(codegen.function(f, 1) for f in codegen.TRANSFORMS[name][:2]),
              np.concatenate(offs)) for name, offs in by_transform.items()]
 
@@ -927,20 +1002,13 @@ def _batches(program, U):
 
 
 def lower(bound: BoundModel, mode: str = FUSED) -> ExecutablePlan:
+    """The plan of `bound`: its latent layout and its references resolved
+    (see _references). The log density is lowered on its first use."""
     if mode not in (FUSED, UNROLLED):
         raise ValueError(f"unknown mode {mode!r}")
     runs, simulate_only = build_layout(bound)
-    # lowering allocates hundreds of thousands of small objects that live
-    # until it ends; cyclic collections would walk them over and over
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        blocks, program, unresolved = _lower(bound, runs, mode)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return ExecutablePlan(bound, runs, simulate_only, mode, blocks, program,
-                          unresolved)
+    return ExecutablePlan(bound, runs, simulate_only, mode,
+                          _references(bound))
 
 
 def compile_model(source, tables=(), obs=(), inputs=None,
@@ -986,10 +1054,11 @@ def prior_simulate(plan: ExecutablePlan, rng: np.random.Generator,
     (scalar variables repeat across index rows). Blocks of cells are drawn
     in UNROLLED order; a block read before its turn is drawn on demand (see
     `_Simulation`). Arithmetic that overflows or is invalid leaves inf or
-    NaN in its cells without a warning."""
+    NaN in its cells without a warning; a distribution parameter outside
+    its constraint raises InvalidParameterError."""
     bound = plan.bound
     graph = bound.graph
-    sim = _Simulation(bound, rng, n_draws)
+    sim = _Simulation(plan, rng, n_draws)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for b in range(len(sim.blocks)):
             if not sim.done[b]:
@@ -1005,12 +1074,16 @@ def prior_simulate(plan: ExecutablePlan, rng: np.random.Generator,
     cols = {}
     for v in out_vars:
         layout = bound.layouts[v]
+        if not layout.axes:
+            cols[v] = np.repeat(sim.values[v][0], len(grid))
+            continue
         pos = _flat_positions(layout, [grid[:, used.index(axis)]
                                        for axis in layout.axes])
-        cols[v] = sim.values[v][np.broadcast_to(pos, len(grid))].T.ravel()
+        cols[v] = sim.values[v][pos].T.ravel()
     idx_rows = np.column_stack([np.repeat(np.arange(n_draws), len(grid)),
                                 np.tile(grid, (n_draws, 1))])
-    return make_table(["draw"] + used, idx_rows, cols)
+    # unique rows by construction
+    return DataTable(("draw", *used), cols, idx_rows)
 
 
 def _replicate_axes(graph: ModelGraph) -> set:
@@ -1031,22 +1104,36 @@ def _replicate_axes(graph: ModelGraph) -> set:
     return axes
 
 
+def _term_axis(term) -> str | None:
+    """The axis an index term reads, through any lookups; None for a
+    literal."""
+    while isinstance(term, ArrayLookup):
+        term = term.inner
+    return None if isinstance(term, IntLiteral) else term.name
+
+
 class _Simulation:
     """Prior draws of every cell, `n` per cell, in one (cells, n) array per
     variable over its layout (`values`). Cells are made a block at a time:
     the cells of one statement that differ only on replicate axes (see
-    `_replicate_axes`), so no cell of a block reads another. `blocks` holds
-    (node, flat positions, key map) per block, statements in topological
-    order and each statement's blocks in the order of its domain; a model
-    with no replicate axis has one cell per block. A stochastic block is
-    drawn from its distribution with the parameters as arrays over (cells,
-    draws), so each cell's draws stay consecutive in the RNG stream; a
-    deterministic block is its right-hand side over the same arrays. A block
-    read before its turn is made on demand, as `_Lowering.at` makes a cell,
-    so a lag on any axis reads a cell that exists."""
+    `_replicate_axes`), so no cell of a block reads another. A statement's
+    rows are put in block order once, with its references as resolved at
+    compile time (`ExecutablePlan.references`) and the blocks that own the
+    cells each one reads, so `blocks` holds (statement, first row, end row)
+    per block: statements in topological order, each statement's blocks in
+    the order of its domain; a model with no replicate axis has one cell
+    per block. Making a block is gathers, the parameter arithmetic and one
+    draw from the statement's distribution with the parameters as arrays
+    over (cells, draws), so each cell's draws stay consecutive in the RNG
+    stream; a deterministic block is its right-hand side over the same
+    arrays. A reference that does not vary over the block's replicate axes
+    is read as one cell, an array over the draws. A block read before its
+    turn is made on demand, as `_Lowering.at` makes a cell, so a lag on any
+    axis reads a cell that exists."""
 
-    def __init__(self, bound: BoundModel, rng: np.random.Generator, n: int):
-        self.bound = bound
+    def __init__(self, plan: ExecutablePlan, rng: np.random.Generator,
+                 n: int):
+        bound = plan.bound
         self.rng = rng
         self.n = n
         self.values = {v: np.full((layout.size, n), math.nan)
@@ -1055,6 +1142,7 @@ class _Simulation:
         self.owner = {v: np.zeros(layout.size, dtype=np.int64)
                       for v, layout in bound.layouts.items()}
         self.blocks = []
+        statements = []
         replicate = _replicate_axes(bound.graph)
         for node in topo_order(bound.graph):
             keys = node.domain
@@ -1077,56 +1165,99 @@ class _Simulation:
             block = rank[block]
             self.owner[var][pos] = len(self.blocks) + block
             order = np.argsort(block, kind="stable")
-            ends = np.cumsum(np.bincount(block))
-            for rows in np.split(order, ends[:-1]):
-                km = {axis: keys[rows, p] if p in rep else int(keys[rows[0], p])
-                      for p, (kind, axis) in enumerate(node.selector)
-                      if kind == "sym"}
-                self.blocks.append((node, pos[rows], km))
+            ends = np.cumsum(np.bincount(block)).tolist()
+            rep_axes = {node.selector[p][1] for p in rep}
+            refs = [(name, value if value is None or np.ndim(value) == 0
+                     else value[order],
+                     any(_term_axis(t) in rep_axes for t in terms))
+                    for name, terms, value in plan.references[node.order]]
+            st = _Statement(node, pos[order], refs)
+            statements.append(st)
+            self.blocks += [(st, lo, hi)
+                            for lo, hi in zip([0] + ends[:-1], ends)]
+        # the block that owns each cell a variable reference reads, once
+        # every block is numbered
+        for st in statements:
+            st.owners = [self.owner[name][value]
+                         if name in self.owner and value is not None
+                         else None for name, value, _ in st.refs]
         self.done = np.zeros(len(self.blocks), dtype=bool)
 
     def make(self, b: int) -> None:
-        node, pos, km = self.blocks[b]
+        st, lo, hi = self.blocks[b]
+        args = []
+        for (name, value, vector), owners in zip(st.refs, st.owners):
+            if value is None:
+                raise _UnresolvedInput(name)
+            if owners is None:        # an input
+                args.append(value if np.ndim(value) == 0 else
+                            value[lo:hi, None] if vector else
+                            float(value[lo]))
+                continue
+            if vector:
+                need = owners[lo:hi]
+                if not self.done[need].all():
+                    for nb in dict.fromkeys(need.tolist()):
+                        if not self.done[nb]:
+                            self.make(nb)
+                args.append(self.values[name][value[lo:hi]])
+            else:
+                if not self.done[owners[lo]]:
+                    self.make(int(owners[lo]))
+                args.append(self.values[name][value[lo]])
+        node = st.node
+        refs = iter(args)
         if node.kind == "deterministic":
-            v = self.expr(node.stmt.rhs, km)
+            v = _evaluate(node.stmt.rhs, refs)
         else:
-            params = [self.expr(p, km) for p in node.stmt.dist.params]
-            v = dist.lookup(node.stmt.dist.name).sample(
-                self.rng, *params, size=(len(pos), self.n))
-        self.values[node.variable][pos] = v
+            params = [_evaluate(p, refs) for p in node.stmt.dist.params]
+            spec = dist.lookup(node.stmt.dist.name)
+            try:
+                v = spec.sample(self.rng, *params, size=(hi - lo, self.n))
+            except ValueError as e:
+                raise _invalid_parameter(node, spec, params,
+                                         (hi - lo, self.n), e) from None
+        self.values[node.variable][st.pos[lo:hi]] = v
         self.done[b] = True
 
-    def expr(self, expr, km):
-        """A float, an array over the draws, or an array over (cells,
-        draws)."""
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, BinOp):
-            return codegen.function(codegen.BINOPS[expr.op][0], 2)(
-                self.expr(expr.left, km), self.expr(expr.right, km))
-        if isinstance(expr, Call):
-            return codegen.function(codegen.CALLS[expr.fn][0], len(expr.args))(
-                *(self.expr(a, km) for a in expr.args))
-        if isinstance(expr, Ref):
-            return self.ref(expr.ref, km)
-        raise TypeError(expr)
 
-    def ref(self, ref: VarRef, km):
-        bound, name = self.bound, ref.name
-        if name in bound.inputs:
-            inp = bound.inputs[name]
-            if not inp.resolved:
-                raise _UnresolvedInput(name)
-            if not ref.indices:
-                return inp.scalar
-            idx_values = [_term_value(bound, t, km) for t in ref.indices]
-            vals = inp.array[_input_positions(inp, idx_values)]
-            return vals[:, None] if np.ndim(vals) else float(vals)
-        idx_values = [_term_value(bound, t, km) for t in ref.indices]
-        pos = _flat_positions(bound.layouts[name], idx_values)
-        blocks = self.owner[name][pos]
-        if not self.done[blocks].all():
-            for b in dict.fromkeys(np.atleast_1d(blocks).tolist()):
-                if not self.done[b]:
-                    self.make(b)
-        return self.values[name][pos]
+@dataclass
+class _Statement:
+    """A statement's rows in block order: their flat positions, its
+    references as (name, value over the rows, read per cell), and the
+    blocks that own the cells each reference reads (None for an input)."""
+    node: GraphNode
+    pos: np.ndarray
+    refs: list
+    owners: list | None = None
+
+
+def _evaluate(expr, refs):
+    """`expr` with its references taken from the iterator `refs`, in
+    evaluation order: a float, an array over the draws, or an array over
+    (cells, draws)."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Ref):
+        return next(refs)
+    if isinstance(expr, BinOp):
+        return codegen.function(codegen.BINOPS[expr.op][0], 2)(
+            _evaluate(expr.left, refs), _evaluate(expr.right, refs))
+    if isinstance(expr, Call):
+        return codegen.function(codegen.CALLS[expr.fn][0], len(expr.args))(
+            *(_evaluate(a, refs) for a in expr.args))
+    raise TypeError(expr)
+
+
+def _invalid_parameter(node, spec, params, shape,
+                       error) -> InvalidParameterError:
+    """The error for a draw that NumPy refused: the statement, the first
+    parameter outside its constraint and in how many draws."""
+    found = dist.invalid_draws(spec, params, shape)
+    if found is None:
+        return InvalidParameterError(
+            f"cannot draw {render_stmt(node.stmt)}: {error}")
+    name, asks, k = found
+    return InvalidParameterError(
+        f"cannot draw {render_stmt(node.stmt)}: {spec.name} parameter "
+        f"{name!r} {asks}, and is not in {k} of {shape[1]} draws")

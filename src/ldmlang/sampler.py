@@ -30,6 +30,7 @@ for a seed does not depend on how many processes ran it.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import pickle
@@ -400,25 +401,54 @@ class DrawSet:
 
     @classmethod
     def from_csv(cls, path: str) -> "DrawSet":
-        """Read a file written by `to_csv`. The body is parsed whole; a
-        file that does not parse names its first bad line."""
+        """Read a file written by `to_csv`. The body is parsed whole: split
+        at commas and line ends when it holds plain cells (see
+        `_plain_body`), else read by csv.reader; a file that does not
+        parse names its first bad line."""
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0][:2] != ["chain", "draw"]:
+            header = next(csv.reader(fh), [])
+            text = fh.read()
+        if header[:2] != ["chain", "draw"]:
             raise SamplerError(f"{path}: not a draws file "
                                "(expected chain,draw,... header)")
-        names = rows[0][2:]
-        try:
-            body = np.array(rows[1:], dtype=float)
-        except ValueError:
-            body = None
-        if body is None or body.shape[1:] != (len(rows[0]),):
-            raise SamplerError(f"{path}: {_first_bad_row(rows)}")
+        body = _plain_body(text, len(header))
+        if body is None:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            try:
+                body = np.array(rows[1:], dtype=float)
+            except ValueError:
+                body = None
+            if body is None or body.shape[1:] != (len(header),):
+                raise SamplerError(f"{path}: {_first_bad_row(rows)}")
         chain = body[:, 0].astype(np.int64)
         per_chain = [body[chain == c, 2:] for c in np.unique(chain)]
         n_samples = min(len(v) for v in per_chain)
         draws = np.array([v[:n_samples] for v in per_chain])
-        return cls(draws=draws, site_names=names, stats={}, n_warmup=0, seed=0)
+        return cls(draws=draws, site_names=header[2:], stats={}, n_warmup=0,
+                   seed=0)
+
+
+def _plain_body(text: str, width: int) -> np.ndarray | None:
+    """The (rows, width) numbers of a CSV body whose lines all end in CRLF
+    or all in LF, with no quote or other carriage return, each of `width`
+    cells that NumPy reads as floats, and at least one line; None for any
+    other body, which csv.reader may still read."""
+    crlf = text.count("\r\n")
+    if ('"' in text or text.count("\r") != crlf
+            or crlf and text.count("\n") != crlf):
+        return None
+    lines = text.split("\r\n" if crlf else "\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or list(map(str.count, lines, itertools.repeat(","))) \
+            .count(width - 1) != len(lines):
+        return None
+    try:
+        cells = np.array(",".join(lines).split(","), dtype=float)
+    except ValueError:
+        return None
+    return cells.reshape(len(lines), width)
 
 
 def _first_bad_row(rows) -> str:

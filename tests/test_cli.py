@@ -103,8 +103,14 @@ def test_simulate_never_writes_or_compiles_values(model_file, tmp_path,
         compiled.append(name)
         return getattr_(self, name)
 
+    def unwritten(*args):
+        raise AssertionError("value/value_and_grad text was written")
+
     monkeypatch.setattr(codegen, "_batched", unexpected)
     monkeypatch.setattr(codegen.Program, "__getattr__", recorded)
+    # lowering writes the log density through a Source; simulation never
+    # lowers
+    monkeypatch.setattr(codegen.Source, "__init__", unwritten)
     assert main(["simulate", model_file, "--draws", "3",
                  "-o", str(tmp_path / "sim.csv")]) == 0
     assert "values" not in compiled
@@ -150,10 +156,12 @@ def test_simulate_is_reproducible_from_its_seed(tmp_path, capsys):
     assert simulate(6, "c.csv") != first
 
 
-# SHA-256 of `ldm simulate MODEL --draws 5 --seed 1`. These models have no
-# replicate axis, or only scalar variables, so every block of the prior walk
-# is one cell and the draws come from the RNG stream in the order of a walk
-# over single cells.
+# SHA-256 of `ldm simulate MODEL --draws 5 --seed 1`. ar1, ar2,
+# zero_inflated and linear_regression have no replicate axis, or only scalar
+# variables, so every block of the prior walk is one cell and the draws come
+# from the RNG stream in the order of a walk over single cells. dbn,
+# dbn_simplified and ar1_multi replicate over n: each block is a time step
+# of every unit.
 SIMULATE_SHA256 = {
     "ar1": "0905f3a3f7a87072f394b4430213f1fc47514dbbca8b755cad12570cc0254fe1",
     "ar2": "a6b76303422ce01ad1dce49f592509393d1f8e6d9581d6cdbb3ac4aa7a28c417",
@@ -161,6 +169,11 @@ SIMULATE_SHA256 = {
         "fa92baff5c46e5a633e141dd717b9f1755a8a9585e4b553132358afb538f3591",
     "linear_regression":
         "149abbc9f1d7367983b7ad8417ea98abc5a5b6ebc2e8f226fde04ecf7ea0ad0e",
+    "dbn": "fd2f177f2c7f68d461912728af293239f6b7eee5bd2038ba619523ed289a6e26",
+    "dbn_simplified":
+        "a12e6e144f8bd0eb5a530092f282f0ef6ba31e299fa3435610343013fd0c91ac",
+    "ar1_multi":
+        "0c14d7cc439fdd962d8e347ab621cd35e66731f9b4f82e3ed9e88f9992f55495",
 }
 
 
@@ -175,6 +188,45 @@ def test_simulate_output_is_pinned(name, tmp_path, capsys):
         args += ["--data", str(x)]
     assert main(args) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256[name]
+
+
+def test_simulate_dbn_panel_is_pinned(tmp_path, capsys):
+    # dbn.ldm widened to 50 units: 19,000 rows a draw, 19 blocks of the CSV
+    # writer
+    model = tmp_path / "dbn_panel.ldm"
+    model.write_text((ROOT / "models" / "dbn.ldm").read_text().replace(
+        "Indices: n 0 9, t 0 37", "Indices: n 0 49, t 0 37"))
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", str(model), "--draws", "10", "--seed", "1",
+                 "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "5f836ed22f70cfffdb4a7146d3118b9c5d4d14e635d23e9352fd4ec9cc2b1ec1"
+
+
+@pytest.mark.parametrize("body, problem", [
+    pytest.param("Indices: t 0 4\ny[t] ~ N(0, -1)\n",
+                 "cannot draw y[t] ~ N(0.0, -1.0): N parameter 'sd' must be "
+                 "> 0, and is not in 40 of 40 draws", id="constant"),
+    pytest.param("Indices: t 0 4\ns ~ N(0, 1)\ny[t] ~ N(0, s)\n",
+                 "cannot draw y[t] ~ N(0.0, s): N parameter 'sd' must be > 0, "
+                 "and is not in ", id="drawn scale"),
+    pytest.param("s ~ N(0, 1)\ny ~ Poisson(s)\n",
+                 "cannot draw y ~ Poisson(s): Poisson parameter 'rate' must "
+                 "be > 0, and is not in ", id="drawn rate"),
+])
+def test_simulate_parameter_outside_its_support_is_one_error_line(
+        tmp_path, capsys, body, problem):
+    model = tmp_path / "bad.ldm"
+    model.write_text("ProgramName: M\n" + body)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", str(model), "--draws", "40", "--seed", "2",
+                 "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {problem}")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+    assert not (tmp_path / "sim.manifest.json").exists()
 
 
 def test_simulate_overflow_is_one_line_not_a_runtime_warning(tmp_path,

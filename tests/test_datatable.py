@@ -1,9 +1,12 @@
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ldmlang import datatable
 from ldmlang.datatable import DataTable, make_table, read_table, write_csv
@@ -134,6 +137,11 @@ def _edge_tables():
                                           {"y": big})
     yield "runs", make_table(("i", "j"), [[i // 4, -i] for i in range(10)],
                              {"y": runs, "z": runs[::-1]})
+    yield "long runs", make_table(
+        ("i",), [[i] for i in range(2100)],
+        {"zeros": np.repeat([0.0, -0.0, 0.0, math.nan, -0.0], 420),
+         "ends": np.repeat([math.inf, -math.inf, 2.0**53, 2.0**53 - 1,
+                            0.5, 0.5], 350)})
     for n in (1023, 1024, 1025):
         yield f"{n} rows", make_table(
             ("d", "t"), [[i // 100, i % 100] for i in range(n)],
@@ -147,6 +155,59 @@ def _edge_tables():
 def test_write_csv_matches_csv_writer(tmp_path, name, table, float_repr):
     path = tmp_path / "out.csv"
     write_csv(table, str(path), float_repr=float_repr)
+    with open(path, newline="") as fh:
+        assert fh.read() == reference_csv(table, float_repr)
+
+
+# cells that format differently from their neighbours: NaN (empty), signed
+# zeros and infinities, whole numbers below, at and above 2**53; in pairs
+# that compare equal, or nearly so
+_SPECIAL = [(0.0, -0.0), (math.nan, math.nan), (math.inf, -math.inf),
+            (3.0, -7.0), (0.1, 0.1 + 2**-56), (2.0**53 - 1, 2.0**53),
+            (2.0**53 + 2, -(2.0**53)), (2.0**60, 1e300)]
+
+
+def _runs(cell):
+    """A column of `n` cells as runs of equal cells, long enough that the
+    writer's few-change path formats some of them."""
+    @hs.composite
+    def column(draw, n):
+        out = []
+        while len(out) < n:
+            out += [draw(cell)] * draw(hs.integers(1, 40))
+        return out[:n]
+    return column
+
+
+@hs.composite
+def _tables(draw):
+    n = draw(hs.integers(0, 200))
+    n_index = draw(hs.integers(0, 3))
+    n_values = draw(hs.integers(0 if n_index else 1, 4))
+    index = _runs(hs.integers(-3, 2**40))
+    rows = np.array([draw(index(n)) for _ in range(n_index)],
+                    dtype=np.int64).T.reshape(n, n_index)
+    columns = {}
+    for j in range(n_values):
+        # a few special cells per column, so that 0.0 and -0.0, or two
+        # NaN, often make adjacent runs
+        cell = hs.sampled_from(draw(hs.sampled_from(_SPECIAL)))
+        if draw(hs.booleans()):
+            cell |= (hs.floats(allow_nan=False, width=64)
+                     | hs.integers(-10**6, 10**6).map(float))
+        value = _runs(cell)
+        columns[f"v{j}"] = np.array(draw(value(n)), dtype=float)
+    return DataTable(tuple(f"i{j}" for j in range(n_index)), columns, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables(), block=hs.integers(8, 64), float_repr=hs.booleans())
+def test_write_csv_matches_csv_writer_on_random_tables(tmp_path_factory, table,
+                                                       block, float_repr):
+    # runs of equal cells cross the (shrunk) block boundaries
+    path = tmp_path_factory.getbasetemp() / "random_table.csv"
+    with mock.patch.object(datatable, "_CSV_BLOCK", block):
+        write_csv(table, str(path), float_repr=float_repr)
     with open(path, newline="") as fh:
         assert fh.read() == reference_csv(table, float_repr)
 

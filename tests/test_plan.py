@@ -14,8 +14,9 @@ from ldmlang import plan as pl
 from ldmlang import sampler as smp
 from ldmlang.datatable import make_table
 from ldmlang.errors import (
-    BindError, GraphError, MissingDiscreteUnsupportedError,
-    NonFiniteDensityError, UndefinedReferenceError,
+    BindError, GraphError, InvalidParameterError,
+    MissingDiscreteUnsupportedError, NonFiniteDensityError,
+    UndefinedReferenceError,
 )
 
 from conftest import CORPUS, MODELS, model_text
@@ -577,6 +578,48 @@ def test_unresolved_input_raises_lazily():
     plan = pl.compile_model(src)  # compiles fine
     with pytest.raises(UndefinedReferenceError, match="has no value"):
         plan.logdensity(np.zeros(plan.latent_dim))
+
+
+def test_log_density_is_lowered_on_first_use(monkeypatch):
+    # compile_model resolves every reference, so a reference outside its
+    # range fails there, but writes no code until a density is asked for
+    made = []
+    source = codegen.Source
+
+    def recorded(*args):
+        made.append(args)
+        return source(*args)
+
+    monkeypatch.setattr(codegen, "Source", recorded)
+    plan = pl.compile_model(AR1_SMALL)
+    pl.prior_simulate(plan, np.random.default_rng(0), 2)
+    assert made == []
+    value = plan.logdensity(np.zeros(plan.latent_dim))
+    assert len(made) == 1
+    assert plan.logdensity(np.zeros(plan.latent_dim)) == value
+    assert len(made) == 1
+    with pytest.raises(UndefinedReferenceError,
+                       match=r"^a\[9\] lies outside the declared range$"):
+        pl.compile_model("ProgramName: M\nIndices: t 0 4\na[t] ~ N(0, 1)\n"
+                         "m[t] = a[9]\ny[t] ~ N(a[t], 1)\n")
+
+
+@pytest.mark.parametrize("dist_, param, asks", [
+    ("N(0, s)", "sd", "must be > 0"),
+    ("Binomial(3, s)", "p", "must lie in [0, 1]"),
+    ("Gamma(s, 1)", "shape", "must be > 0"),
+])
+def test_prior_simulate_parameter_outside_its_constraint(dist_, param, asks):
+    src = f"ProgramName: M\nIndices: t 0 3\ns ~ N(0, 1)\ny[t] ~ {dist_}\n"
+    plan = pl.compile_model(src)
+    rng = np.random.default_rng(4)
+    s = np.random.default_rng(4).normal(0.0, 1.0, 50)
+    bad = int(np.count_nonzero(s <= 0.0 if asks == "must be > 0"
+                               else (s < 0.0) | (s > 1.0)))
+    with pytest.raises(InvalidParameterError) as e:
+        pl.prior_simulate(plan, rng, 50)
+    assert str(e.value).endswith(
+        f"parameter {param!r} {asks}, and is not in {bad} of 50 draws")
 
 
 def test_inputs_dict_supplies_values():

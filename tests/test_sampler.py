@@ -1,5 +1,6 @@
 """NUTS engine: integrator properties, adaptation, and posterior accuracy."""
 
+import csv
 import itertools
 import math
 import os
@@ -191,6 +192,31 @@ def test_drawset_csv_bytes_match_the_row_writer(tmp_path):
     back = smp.DrawSet.from_csv(str(path))
     assert back.site_names == ds.site_names
     assert back.draws.tobytes() == draws.tobytes()
+
+
+@pytest.mark.parametrize("body, readers", [
+    ("0,0,1.5,-2\r\n0,1,2.5,1e-300\r\n1,0,inf,0.0\r\n1,1, 3,-0.0\r\n", 1),
+    ("0,0,1.5,-2\n0,1,2.5,1e-300\n1,0,inf,0.0\n1,1, 3,-0.0", 1),
+    # read by csv.reader: quoted cells, mixed line ends
+    ('0,0,"1.5",-2\r\n0,1,2.5,1e-300\r\n1,0,inf,0.0\r\n1,1,3,-0.0\r\n',
+     2),
+    ("0,0,1.5,-2\n0,1,2.5,1e-300\r\n1,0,inf,0.0\n1,1,3,-0.0\r\n", 2),
+])
+def test_from_csv_reads_what_csv_reader_reads(tmp_path, monkeypatch, body,
+                                              readers):
+    # a plain body is split without csv.reader, which reads the header only
+    path = tmp_path / "draws.csv"
+    path.write_bytes(("chain,draw,a,\"y[0,1]\"\r\n" + body).encode())
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *a: calls.append(a) or
+                        reader(*a))
+    back = smp.DrawSet.from_csv(str(path))
+    assert len(calls) == readers
+    with open(path, newline="") as fh:
+        rows = np.array(list(csv.reader(fh))[1:], dtype=float)
+    assert back.site_names == ["a", "y[0,1]"]
+    assert back.draws.tobytes() == rows[:, 2:].reshape(2, 2, 2).tobytes()
 
 
 def test_from_csv_rejects_foreign_files(tmp_path):
